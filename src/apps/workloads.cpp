@@ -474,11 +474,10 @@ std::vector<sim::SimTime> arrival_times(const ArrivalSpec& spec, int count,
   };
   switch (spec.process) {
     case ArrivalSpec::Process::kIncast:
-      for (int k = 0; k < count; ++k) {
-        sim::SimTime t = spec.start + static_cast<sim::SimTime>(k) *
-                                          spec.incast_period;
-        if (!out.empty() && t <= out.back()) t = out.back() + 1;
-        out.push_back(t);
+      // incast_period > 0, so the waves are already strictly increasing.
+      out.resize(static_cast<std::size_t>(count));
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        out[k] = spec.start + static_cast<sim::SimTime>(k) * spec.incast_period;
       }
       break;
     case ArrivalSpec::Process::kPoisson: {

@@ -1,6 +1,7 @@
 #include "net/buffer.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -83,14 +84,9 @@ Buffer Buffer::shared() const {
 bool Buffer::content_equals(const Buffer& other) const {
   if (len_ != other.len_) return false;
   if (!has_data() || !other.has_data()) return true;
-  const auto a = data();
-  const auto b = other.data();
-  for (std::int64_t i = 0; i < len_; ++i) {
-    if (a[static_cast<std::size_t>(i)] != b[static_cast<std::size_t>(i)]) {
-      return false;
-    }
-  }
-  return true;
+  if (len_ == 0) return true;  // memcmp must not see a null data pointer
+  return std::memcmp(data().data(), other.data().data(),
+                     static_cast<std::size_t>(len_)) == 0;
 }
 
 void BufferChain::append(Buffer b) {

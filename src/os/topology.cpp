@@ -265,17 +265,29 @@ void TopologyPlan::check_flood_tree() const {
 // Guards the route/wiring tables against drift — a broken entry here means
 // a 1024-node run would silently fall back to unknown-unicast flooding.
 void TopologyPlan::check_reachability() const {
+  // Trunk peer of each (switch, port), -1 where no trunk is cabled. Edges
+  // are entered in order, so on duplicate cabling the later edge wins.
+  std::vector<std::vector<int>> peer(static_cast<std::size_t>(switches()));
+  auto cable = [&peer](int s, int port, int other) {
+    auto& ports = peer[static_cast<std::size_t>(s)];
+    const auto p = static_cast<std::size_t>(port);
+    if (p >= ports.size()) ports.resize(p + 1, -1);
+    ports[p] = other;
+  };
+  for (const TrunkEdge& e : trunks_) {
+    cable(e.a, e.a_port, e.b);
+    cable(e.b, e.b_port, e.a);
+  }
   for (int s = 0; s < switches(); ++s) {
     for (int n = 0; n < nodes_; ++n) {
       int cur = s;
       int hops = 0;
       while (route(cur, n) != -1) {
         const int out = route(cur, n);
-        int next = -1;
-        for (const TrunkEdge& e : trunks_) {
-          if (e.a == cur && e.a_port == out) next = e.b;
-          if (e.b == cur && e.b_port == out) next = e.a;
-        }
+        const auto& ports = peer[static_cast<std::size_t>(cur)];
+        const int next = out >= 0 && static_cast<std::size_t>(out) < ports.size()
+                             ? ports[static_cast<std::size_t>(out)]
+                             : -1;
         if (next < 0) {
           std::ostringstream msg;
           msg << "route from " << switch_name(cur) << " to node " << n

@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace clicsim::sim {
 
@@ -13,24 +12,6 @@ std::uint32_t EventQueue::acquire_slot_slow() {
     chunks_.push_back(std::make_unique<Action[]>(kChunkSize));
   }
   return slab_size_++;
-}
-
-void EventQueue::do_push(SimTime t, std::uint64_t seq, Action action) {
-  const std::uint32_t slot = acquire_slot();
-  slot_ref(slot) = std::move(action);
-  insert_handle(t, seq, slot);
-}
-
-EventQueue::Event EventQueue::pop() {
-  const Handle top = heap_[0];
-  const auto slot = static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-  Event ev{top.time, std::move(slot_ref(slot))};
-  free_.push_back(slot);
-
-  const Handle last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0, last);
-  return ev;
 }
 
 }  // namespace clicsim::sim

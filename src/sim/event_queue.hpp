@@ -10,6 +10,13 @@
 // machine words per level instead of entries carrying a type-erased
 // callable, and slab slots are reused through a free list so a simulation
 // in steady state performs no allocation per event.
+//
+// Dispatch leaves the root vacant while the earliest event's callback runs.
+// The callback's first schedule fills the root and sifts down once (a
+// replace-top: a near-future child stops within a level or two), instead
+// of the heap sinking its last, typically far-future handle from the root
+// and then raising the child back up. Keys are unique (time, seq) pairs, so
+// which physical layout the heap takes never changes the dispatch order.
 #pragma once
 
 #include <cstdint>
@@ -25,16 +32,20 @@ class EventQueue {
  public:
   using Action = sim::Action;
 
-  // Schedules `action` at absolute time `t`.
-  void push(SimTime t, Action action) { do_push(t, next_seq_++, std::move(action)); }
-
-  // Emplace variants: the callable is constructed directly in its slab
-  // slot, avoiding the intermediate InlineFunction materialization and
-  // relocation that the by-value `push` overloads pay per hand-off.
+  // Schedules the callable `f` at absolute time `t`, constructing it
+  // directly in its slab slot.
   template <typename F>
   void emplace(SimTime t, F&& f) {
     emplace_reserved(t, next_seq_++, std::forward<F>(f));
   }
+
+  // Draws the sequence number the next emplace would use without scheduling
+  // anything. The timer wheel reserves a sequence per timer at arm time and
+  // replays it through emplace_reserved at dispatch, so a timer fires with
+  // the same same-instant tie-break rank as a plain event scheduled when the
+  // timer was armed. Each reserved sequence may be in the queue at most once
+  // at a time.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   template <typename F>
   void emplace_reserved(SimTime t, std::uint64_t seq, F&& f) {
@@ -43,53 +54,42 @@ class EventQueue {
     insert_handle(t, seq, slot);
   }
 
-  // Draws the sequence number the next push would use without scheduling
-  // anything. The timer wheel reserves a sequence per timer at arm time and
-  // replays it through push_reserved at dispatch, so a timer fires with the
-  // same same-instant tie-break rank as a plain event scheduled when the
-  // timer was armed.
-  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
-
-  // Schedules `action` at `t` with a sequence from reserve_seq(). Each
-  // reserved sequence may be in the queue at most once at a time.
-  void push_reserved(SimTime t, std::uint64_t seq, Action action) {
-    do_push(t, seq, std::move(action));
+  // empty(), size() and next_time() stay exact while a callback runs with
+  // the root vacant.
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] std::size_t size() const {
+    return heap_.size() - (root_vacant_ ? 1 : 0);
   }
-
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   // Time of the earliest pending event; kNever when empty.
   [[nodiscard]] SimTime next_time() const {
-    return heap_.empty() ? kNever : heap_[0].time;
+    if (!root_vacant_) return heap_.empty() ? kNever : heap_[0].time;
+    // Vacant root: the earliest pending event is one of its children.
+    SimTime t = kNever;
+    const std::size_t end = heap_.size() < 5 ? heap_.size() : 5;
+    for (std::size_t c = 1; c < end; ++c) {
+      if (heap_[c].time < t) t = heap_[c].time;
+    }
+    return t;
   }
 
-  // Removes and returns the earliest event. Precondition: !empty().
-  struct Event {
-    SimTime time;
-    Action action;
-  };
-  Event pop();
-
   // Removes the earliest event and runs its callback *in place* in the
-  // slab — the simulator's dispatch path. Skipping the move-out saves a
-  // relocation + destruction per event; it is safe because slab chunks
-  // never move, so callbacks pushed from inside the running callback cannot
-  // invalidate its storage. Precondition: !empty().
+  // slab. Skipping the move-out saves a relocation + destruction per event;
+  // it is safe because slab chunks never move, so callbacks scheduled from
+  // inside the running callback cannot invalidate its storage. The slot is
+  // recycled only after the callback returns, so such a schedule cannot
+  // overwrite the executing closure either. Precondition: !empty().
   void run_earliest() {
-    const Handle top = heap_[0];
-    const auto slot = static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-
-    const Handle last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0, last);
-
-    // The slot is recycled only after the callback returns, so a push from
-    // inside the callback cannot overwrite the executing closure.
-    Action& action = slot_ref(slot);
-    action();
-    action = nullptr;
-    free_.push_back(slot);
+    if (root_vacant_) close_root();  // re-entered from a running callback
+    const auto slot = static_cast<std::uint32_t>(heap_[0].seq_slot & kSlotMask);
+    root_vacant_ = true;
+    try {
+      slot_ref(slot)();
+    } catch (...) {
+      retire(slot);
+      throw;
+    }
+    retire(slot);
   }
 
   // Total events ever pushed (for engine micro-benchmarks / diagnostics).
@@ -146,12 +146,33 @@ class EventQueue {
   }
   std::uint32_t acquire_slot_slow();  // grows the slab (cold path)
 
-  void do_push(SimTime t, std::uint64_t seq, Action action);
-
   void insert_handle(SimTime t, std::uint64_t seq, std::uint32_t slot) {
-    const std::uint64_t seq_slot = (seq << kSlotBits) | slot;
+    const Handle h{t, (seq << kSlotBits) | slot};
+    if (root_vacant_) {
+      // First child of the running event: it takes the dispatched event's
+      // place at the root.
+      root_vacant_ = false;
+      sift_down(0, h);
+      return;
+    }
     heap_.emplace_back();  // hole; sift_up fills it
-    sift_up(heap_.size() - 1, Handle{t, seq_slot});
+    sift_up(heap_.size() - 1, h);
+  }
+
+  // Fills a vacant root with the last handle, as a plain pop would.
+  void close_root() {
+    root_vacant_ = false;
+    const Handle last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+  }
+
+  // Finishes a dispatch, normally or on unwind: the queue is consistent
+  // again and the callback's slot is free.
+  void retire(std::uint32_t slot) {
+    if (root_vacant_) close_root();
+    slot_ref(slot) = nullptr;
+    free_.push_back(slot);
   }
 
   void sift_up(std::size_t i, Handle h) {
@@ -197,6 +218,7 @@ class EventQueue {
   std::uint32_t slab_size_ = 0;       // slots handed out so far
   std::vector<std::uint32_t> free_;   // recycled slab slots
   std::uint64_t next_seq_ = 0;
+  bool root_vacant_ = false;  // heap_[0] is the running event's stale handle
 };
 
 }  // namespace clicsim::sim

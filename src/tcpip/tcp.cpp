@@ -107,17 +107,19 @@ void TcpSocket::pump_send_requests() {
 
   const std::int64_t take =
       std::min(space, req.data.size() - req.offset);
-  net::Buffer chunk = req.data.slice(req.offset, take);
+  // The slice joins the stream now, in offset order. Copies re-entered from
+  // process_ack can finish out of order (each chunk of a long copy queues
+  // behind newer kernel work), so a completion releases the next `take`
+  // stream bytes rather than its own slice.
+  unsent_.push_back(req.data.slice(req.offset, take));
   req.offset += take;
 
   // The copy into kernel socket memory — TCP's first copy.
-  stack_->node().copy_data(sim::CpuPriority::kKernel, take,
-                           [this, chunk = std::move(chunk)]() mutable {
-                             unsent_bytes_ += chunk.size();
-                             unsent_.push_back(std::move(chunk));
-                             try_output();
-                             pump_send_requests();
-                           });
+  stack_->node().copy_data(sim::CpuPriority::kKernel, take, [this, take] {
+    unsent_bytes_ += take;
+    try_output();
+    pump_send_requests();
+  });
 }
 
 void TcpSocket::try_output() {

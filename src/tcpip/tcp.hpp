@@ -147,6 +147,9 @@ class TcpSocket {
   std::int64_t ssthresh_ = 1 << 30;
   int dup_acks_ = 0;
   std::map<std::uint32_t, SentSegment> unacked_;
+  // Stream bytes not yet segmented, in offset order. Only the first
+  // unsent_bytes_ of them have finished the copy into socket memory; the
+  // rest are still being copied.
   std::deque<net::Buffer> unsent_;
   std::int64_t unsent_bytes_ = 0;
   bool fin_pending_ = false;

@@ -77,6 +77,28 @@ TEST(BufferChecksum, DiffersOnSingleByteFlip) {
   EXPECT_FALSE(a.content_equals(b));
 }
 
+// content_equals must see every byte, the edges included, on both
+// whole buffers and offset slices of them.
+TEST(BufferContentEquals, DetectsMismatchAtEitherEnd) {
+  Buffer a = Buffer::pattern(4097, 11);
+  const std::vector<std::byte> same(a.data().begin(), a.data().end());
+  EXPECT_TRUE(a.content_equals(Buffer::bytes(same)));
+  for (const std::size_t at : {std::size_t{0}, same.size() - 1}) {
+    std::vector<std::byte> bytes = same;
+    bytes[at] ^= std::byte{0x80};
+    EXPECT_FALSE(a.content_equals(Buffer::bytes(std::move(bytes))))
+        << "mismatch at " << at;
+  }
+  // Offset slices see the flipped last byte exactly when they contain it.
+  std::vector<std::byte> bytes = same;
+  bytes.back() ^= std::byte{0x80};
+  Buffer b = Buffer::bytes(std::move(bytes));
+  EXPECT_FALSE(a.slice(1, 4096).content_equals(b.slice(1, 4096)));
+  EXPECT_TRUE(a.slice(1, 4095).content_equals(b.slice(1, 4095)));
+  EXPECT_TRUE(a.slice(7, 0).content_equals(Buffer::pattern(0, 3)));
+  EXPECT_TRUE(Buffer::pattern(0, 1).content_equals(Buffer::pattern(0, 2)));
+}
+
 TEST(BufferChecksum, SizeOnlyTokenEncodesLength) {
   EXPECT_NE(Buffer::zeros(10).checksum(), Buffer::zeros(11).checksum());
   EXPECT_EQ(Buffer::zeros(10).checksum(), Buffer::zeros(10).checksum());

@@ -19,6 +19,12 @@ struct ProfileCase {
   std::int64_t mtu;
 };
 
+// Without this gtest prints the raw bytes of the case, function and string
+// pointers included, and the listed test names change with every load address.
+void PrintTo(const ProfileCase& pc, std::ostream* os) {
+  *os << pc.name << ", " << pc.link_bits_per_s / 1e6 << " Mb/s, MTU " << pc.mtu;
+}
+
 class NicProfiles : public ::testing::TestWithParam<ProfileCase> {};
 
 TEST_P(NicProfiles, ClicRunsSanelyOnEveryCard) {

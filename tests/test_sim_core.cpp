@@ -1,7 +1,13 @@
 // Unit tests for the discrete-event engine: queue determinism, simulator
-// control, coroutine primitives, timed resources, RNG and statistics.
+// control and dispatch order, coroutine primitives, timed resources, RNG
+// and statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -10,19 +16,24 @@
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
+#include "sim/timer_wheel.hpp"
 
 namespace clicsim::sim {
 namespace {
 
 // --- EventQueue ------------------------------------------------------------------
 
+void drain(EventQueue& q) {
+  while (!q.empty()) q.run_earliest();
+}
+
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> order;
-  q.push(30, [&] { order.push_back(3); });
-  q.push(10, [&] { order.push_back(1); });
-  q.push(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().action();
+  q.emplace(30, [&] { order.push_back(3); });
+  q.emplace(10, [&] { order.push_back(1); });
+  q.emplace(20, [&] { order.push_back(2); });
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -30,18 +41,68 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 100; ++i) {
-    q.push(42, [&order, i] { order.push_back(i); });
+    q.emplace(42, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().action();
+  drain(q);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EventQueue, NextTimeReportsEarliest) {
   EventQueue q;
   EXPECT_EQ(q.next_time(), kNever);
-  q.push(50, [] {});
-  q.push(7, [] {});
+  q.emplace(50, [] {});
+  q.emplace(7, [] {});
   EXPECT_EQ(q.next_time(), 7);
+}
+
+// While a callback runs, its own event is gone from the queue: the vacant
+// root must not show through size(), empty() or next_time(), before or
+// after the callback's first child takes its place.
+TEST(EventQueue, StateReadsFromInsideCallbackAreExact) {
+  EventQueue q;
+  std::vector<int> seen;
+  q.emplace(10, [&] {
+    EXPECT_EQ(q.size(), 6u);
+    EXPECT_EQ(q.next_time(), 11);
+    q.emplace(12, [] {});  // fills the root
+    EXPECT_EQ(q.size(), 7u);
+    EXPECT_EQ(q.next_time(), 11);
+    q.emplace(10, [] {});
+    EXPECT_EQ(q.next_time(), 10);
+    seen.push_back(1);
+  });
+  for (SimTime t : {15, 11, 60, 40, 30, 20}) q.emplace(t, [] {});
+  q.emplace(5, [&] {
+    EXPECT_EQ(q.size(), 7u);
+    EXPECT_EQ(q.next_time(), 10);
+    seen.push_back(0);
+  });
+  EventQueue lone;
+  lone.emplace(1, [&] {
+    EXPECT_TRUE(lone.empty());
+    EXPECT_EQ(lone.size(), 0u);
+    EXPECT_EQ(lone.next_time(), kNever);
+  });
+  lone.run_earliest();
+  EXPECT_TRUE(lone.empty());
+  drain(q);
+  EXPECT_EQ(seen, (std::vector<int>{0, 1}));
+}
+
+// A callback may dispatch the next event itself; the nested dispatch must
+// not see the outer event's vacated root.
+TEST(EventQueue, NestedDispatchRunsTheNextEvent) {
+  EventQueue q;
+  std::vector<int> order;
+  q.emplace(1, [&] {
+    order.push_back(1);
+    q.run_earliest();
+    order.push_back(-1);
+  });
+  q.emplace(2, [&] { order.push_back(2); });
+  q.emplace(3, [&] { order.push_back(3); });
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, -1, 3}));
 }
 
 // --- Simulator --------------------------------------------------------------------
@@ -102,6 +163,157 @@ TEST(Simulator, NestedSchedulingFromEvents) {
   sim.run();
   EXPECT_EQ(depth, 50);
   EXPECT_EQ(sim.now(), 50);
+}
+
+TEST(Simulator, PendingAndNextEventTimeFromInsideCallback) {
+  Simulator sim;
+  sim.after(10, [&] {
+    EXPECT_TRUE(sim.pending());
+    EXPECT_EQ(sim.next_event_time(), 30);
+    sim.after(5, [] {});
+    EXPECT_EQ(sim.next_event_time(), 15);
+  });
+  sim.after(30, [&] {
+    EXPECT_TRUE(sim.pending());
+    EXPECT_EQ(sim.next_event_time(), 40);
+  });
+  sim.after(40, [&] {
+    EXPECT_FALSE(sim.pending());
+    EXPECT_EQ(sim.next_event_time(), kNever);
+    sim.after(0, [] {});
+    EXPECT_TRUE(sim.pending());
+    EXPECT_EQ(sim.next_event_time(), 40);
+  });
+  EXPECT_EQ(sim.run(), 5u);
+}
+
+// A callback that throws must leave the queue consistent, whether it threw
+// before scheduling anything (root still vacant) or after its first child
+// took the root. The caller catches, the thrown closure is released, and
+// the remaining events run in order.
+TEST(Simulator, ThrowingCallbackLeavesQueueConsistent) {
+  for (const bool schedule_first : {false, true}) {
+    SCOPED_TRACE(schedule_first ? "threw after scheduling" : "threw at once");
+    Simulator sim;
+    std::vector<SimTime> ran;
+    for (int i = 0; i < 40; ++i) {
+      const SimTime t = 1 + (i * 37) % 101;  // distinct, shuffled
+      sim.at(t, [&sim, &ran] { ran.push_back(sim.now()); });
+    }
+    auto token = std::make_shared<int>(0);
+    sim.at(50, [&, token] {
+      if (schedule_first) {
+        sim.after(3, [&sim, &ran] { ran.push_back(sim.now()); });
+      }
+      throw std::runtime_error("callback failure");
+    });
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 1) << "thrown closure not released";
+    EXPECT_EQ(sim.now(), 50);
+    EXPECT_TRUE(sim.pending());
+    EXPECT_GT(sim.next_event_time(), 50);
+    sim.run();
+    EXPECT_FALSE(sim.pending());
+    EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
+    EXPECT_EQ(ran.size(), schedule_first ? 41u : 40u);
+  }
+}
+
+// Seeded reference-model check of dispatch order. Every callback schedules
+// 0-3 children mixing zero delays, dense same-instant ties, near and
+// far-future times, and (on odd seeds) TimerWheel timers, some of which are
+// cancelled before they fire. A std::set of (time, seq) keys is the
+// reference: each event that runs must be its minimum. Even seeds use no
+// wheel, so pending() and next_event_time() read from inside a callback can
+// be compared exactly. With a wheel, anchor events may sit ahead of the
+// earliest timer, so they only bound it, and only from plain events: a
+// timer's callback runs before the wheel arms its next anchor.
+struct DispatchModel {
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  Simulator sim;
+  TimerWheel wheel{sim};
+  Rng rng;
+  bool use_wheel;
+  int budget;
+  std::set<Key> expected;  // the reference model
+  std::uint64_t next_seq = 0;
+  std::vector<std::pair<Key, TimerWheel::TimerId>> armed;
+  std::uint64_t executed = 0;
+  std::uint64_t cancelled = 0;
+  int order_errors = 0;
+  int state_errors = 0;
+
+  DispatchModel(std::uint64_t seed, int events)
+      : rng(seed, "dispatch"), use_wheel(seed % 2 == 1), budget(events) {}
+
+  SimTime pick_delay() {
+    switch (rng.uniform_int(0, 4)) {
+      case 0: return 0;
+      case 1: return rng.uniform_int(1, 3);
+      case 2: return rng.uniform_int(1, 500);
+      case 3: return rng.uniform_int(1000, 200000);
+      default: return rng.uniform_int(1, 4) * seconds(1);
+    }
+  }
+
+  void schedule() {
+    const Key key{sim.now() + pick_delay(), next_seq++};
+    expected.insert(key);
+    if (use_wheel && rng.bernoulli(0.3)) {
+      armed.emplace_back(key, wheel.schedule_at(
+                                  key.first, [this, key] { fire(key, true); }));
+    } else {
+      sim.at(key.first, [this, key] { fire(key, false); });
+    }
+  }
+
+  void fire(Key key, bool from_timer) {
+    ++executed;
+    if (expected.empty() || *expected.begin() != key) {
+      ++order_errors;
+    }
+    expected.erase(key);
+    const SimTime model_next =
+        expected.empty() ? kNever : expected.begin()->first;
+    if (!use_wheel) {
+      if (sim.pending() != !expected.empty()) ++state_errors;
+      if (sim.next_event_time() != model_next) ++state_errors;
+    } else if (!from_timer && !expected.empty()) {
+      if (!sim.pending()) ++state_errors;
+      if (sim.next_event_time() > model_next) ++state_errors;
+    }
+    if (use_wheel && !armed.empty() && rng.bernoulli(0.25)) {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(armed.size()) - 1));
+      if (wheel.cancel(armed[i].second)) {
+        expected.erase(armed[i].first);
+        ++cancelled;
+      }
+      armed[i] = armed.back();
+      armed.pop_back();
+    }
+    const auto kids = budget > 0 ? rng.uniform_int(0, 3) : 0;
+    for (std::int64_t k = 0; k < kids; ++k, --budget) schedule();
+  }
+};
+
+TEST(Simulator, DispatchOrderMatchesReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    DispatchModel m(seed, 6000);
+    for (int i = 0; i < 64; ++i) m.schedule();
+    m.sim.run();
+    EXPECT_EQ(m.order_errors, 0);
+    EXPECT_EQ(m.state_errors, 0);
+    EXPECT_TRUE(m.expected.empty());
+    EXPECT_EQ(m.executed + m.cancelled, m.next_seq);
+    EXPECT_GT(m.executed, 5000u);
+    if (m.use_wheel) {
+      EXPECT_GT(m.cancelled, 0u);
+      EXPECT_GT(m.wheel.fired(), 0u);
+    }
+  }
 }
 
 // --- Coroutines --------------------------------------------------------------------

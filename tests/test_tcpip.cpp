@@ -113,6 +113,37 @@ TEST(Tcp, StreamIntegrityAcrossManyWrites) {
   EXPECT_EQ(ok, 10);
 }
 
+// A message larger than the send buffer is copied into socket memory in
+// several slices, and acks re-enter the send path while an earlier, longer
+// copy is still running, so copies finish out of order. The stream must
+// still carry the bytes in offset order, both ways, at either MTU.
+TEST(Tcp, PatternedMegabyteEchoKeepsByteOrder) {
+  constexpr std::int64_t kSize = 1 << 20;
+  for (const std::int64_t mtu : {std::int64_t{9000}, std::int64_t{1500}}) {
+    TcpPair p;
+    p.bed.cluster.set_mtu_all(mtu);
+    struct Run {
+      static sim::Task echo(tcpip::TcpSocket& s, bool* ok) {
+        net::Buffer b = co_await s.recv_exact(kSize);
+        *ok = b.content_equals(net::Buffer::pattern(kSize, 5));
+        (void)co_await s.send(std::move(b));
+      }
+      static sim::Task drive(tcpip::TcpSocket& s, bool* ok) {
+        (void)co_await s.send(net::Buffer::pattern(kSize, 5));
+        net::Buffer b = co_await s.recv_exact(kSize);
+        *ok = b.content_equals(net::Buffer::pattern(kSize, 5));
+      }
+    };
+    bool there = false;
+    bool back = false;
+    Run::echo(*p.server, &there);
+    Run::drive(*p.client, &back);
+    p.bed.sim.run();
+    EXPECT_TRUE(there) << "client to server, MTU " << mtu;
+    EXPECT_TRUE(back) << "server to client, MTU " << mtu;
+  }
+}
+
 TEST(Tcp, EofAfterFin) {
   TcpPair p;
   struct Run {
