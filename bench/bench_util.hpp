@@ -36,7 +36,8 @@ inline constexpr const char* kShardArgsHelp =
     "                 stdout is byte-identical at any shard count)\n"
     "  --shard-stats  print engine coordination counters (windows,\n"
     "                 barrier waits, cross-shard posts, COW payload\n"
-    "                 mints) to stderr after the run\n"
+    "                 mints) and host time summed over shards (busy,\n"
+    "                 barrier wait, serial phase) to stderr after the run\n"
     "  -j N           accepted for script compatibility; these binaries\n"
     "                 run one scenario at a time\n";
 
@@ -96,17 +97,28 @@ inline ArgOutcome consume_shard_arg(ShardArgs& out, int argc, char** argv,
 // Accumulates ShardGroup coordination counters across beds (a bench may
 // build several) plus the process-wide COW payload accounting; printed to
 // stderr so stdout stays byte-identical for the determinism cmp gates.
+// The engine-phase host times close the line: busy and wait are summed
+// over shards (wait includes the serial phase), so wait / (busy + wait)
+// is the share of shard time spent at the barrier.
 struct ShardStats {
   std::uint64_t windows = 0;
   std::uint64_t barrier_waits = 0;
   std::uint64_t cross_shard_posts = 0;
   std::uint64_t events_drained = 0;
+  std::uint64_t busy_ns = 0;
+  std::uint64_t wait_ns = 0;
+  std::uint64_t serial_ns = 0;
 
   void absorb(const sim::ShardGroup& g) {
     windows += g.windows_opened();
     barrier_waits += g.barrier_waits();
     cross_shard_posts += g.cross_shard_posts();
     events_drained += g.events_drained();
+    for (int s = 0; s < g.shards(); ++s) {
+      busy_ns += g.busy_ns(s);
+      wait_ns += g.wait_ns(s);
+    }
+    serial_ns += g.serial_ns();
   }
 
   void print(const char* prog, int shards) const {
@@ -114,13 +126,16 @@ struct ShardStats {
         stderr,
         "%s: shard-stats shards=%d windows=%llu barrier_waits=%llu"
         " cross_shard_posts=%llu drained=%llu shared_mints=%llu"
-        " unpooled_copies=%llu\n",
+        " unpooled_copies=%llu busy_ms=%.1f wait_ms=%.1f serial_ms=%.1f\n",
         prog, shards, static_cast<unsigned long long>(windows),
         static_cast<unsigned long long>(barrier_waits),
         static_cast<unsigned long long>(cross_shard_posts),
         static_cast<unsigned long long>(events_drained),
         static_cast<unsigned long long>(net::detail::shared_data_mints()),
-        static_cast<unsigned long long>(net::detail::unpooled_data_copies()));
+        static_cast<unsigned long long>(net::detail::unpooled_data_copies()),
+        static_cast<double>(busy_ns) / 1e6,
+        static_cast<double>(wait_ns) / 1e6,
+        static_cast<double>(serial_ns) / 1e6);
   }
 };
 

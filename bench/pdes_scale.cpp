@@ -47,7 +47,8 @@ struct Options {
                "  --bytes N      payload bytes per message (default 4096)\n"
                "  --topology T   fabric shape: single-star (default),\n"
                "                 leaf-spine, ring, or fat-tree (multi-tier\n"
-               "                 shapes shard leaf-locally)\n",
+               "                 shapes spread leaves, with their nodes,\n"
+               "                 and spines over all shards)\n",
                prog, bench::kShardArgsHelp);
   std::exit(code);
 }

@@ -416,8 +416,8 @@ ChaosReport run_tcp(const ChaosOptions& o) {
 
 void register_cluster_targets(sim::FaultPlan& plan, os::Cluster& cluster) {
   // Whether a carrier needs one part or two depends only on whether the
-  // cable crosses shards — a leaf-local link whose two ends share a worker
-  // shard flips entirely on that shard's simulator.
+  // cable crosses shards — a leaf-local link whose two ends share a shard
+  // flips entirely on that shard's simulator.
   auto add_carrier = [&plan](net::Link* link) {
     if (!link->crosses_shards()) {
       std::vector<sim::FaultPlan::Part> part(1);

@@ -19,8 +19,29 @@ Buffer Buffer::pattern(std::int64_t size, std::uint64_t seed) {
   // Fill the (possibly recycled) block in place — no intermediate vector.
   auto storage = detail::BlockRef::adopt(detail::acquire_data_block(size));
   sim::Rng rng(seed);
-  for (auto& b : storage->bytes) {
-    b = static_cast<std::byte>(rng.next() & 0xff);
+  // Every draw supplies eight bytes, least significant first, and one more
+  // draw supplies the tail. Shifts rather than memcpy keep the bytes the
+  // same on any host byte order; the compiler merges the eight constant-
+  // offset stores into one.
+  std::byte* out = storage->bytes.data();
+  const std::size_t n = storage->bytes.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t w = rng.next();
+    out[i] = static_cast<std::byte>(w);
+    out[i + 1] = static_cast<std::byte>(w >> 8);
+    out[i + 2] = static_cast<std::byte>(w >> 16);
+    out[i + 3] = static_cast<std::byte>(w >> 24);
+    out[i + 4] = static_cast<std::byte>(w >> 32);
+    out[i + 5] = static_cast<std::byte>(w >> 40);
+    out[i + 6] = static_cast<std::byte>(w >> 48);
+    out[i + 7] = static_cast<std::byte>(w >> 56);
+  }
+  if (i < n) {
+    const std::uint64_t w = rng.next();
+    for (std::size_t b = 0; i + b < n; ++b) {
+      out[i + b] = static_cast<std::byte>(w >> (8 * b));
+    }
   }
   return Buffer{std::move(storage), 0, size};
 }

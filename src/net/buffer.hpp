@@ -29,7 +29,10 @@ class Buffer {
   // Size-only payload: occupies `size` simulated bytes, carries no data.
   static Buffer zeros(std::int64_t size);
 
-  // Payload carrying a deterministic byte pattern derived from `seed`.
+  // Payload carrying a deterministic byte pattern derived from `seed`: the
+  // little-endian bytes of successive sim::Rng(seed) draws, so byte i is
+  // byte i % 8 of draw i / 8, and a shorter pattern is a prefix of a
+  // longer one with the same seed.
   static Buffer pattern(std::int64_t size, std::uint64_t seed);
 
   // Payload wrapping caller-provided bytes.

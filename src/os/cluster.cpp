@@ -21,25 +21,33 @@ void Cluster::build(sim::Simulator& home) {
   const TopologyPlan& plan = *plan_;
   const int k = group_ != nullptr ? group_->shards() : 1;
 
-  // Shard placement. The single star keeps the PR 5 rule verbatim (switch
-  // on shard 0, nodes contiguous over shards 1..K-1). Multi-tier fabrics
-  // place each node-bearing switch on a worker shard and its node group on
-  // the *same* shard, so leaf-local frames never touch a mailbox; spines,
-  // which only ever see trunk frames, stay on shard 0.
+  // Shard placement. The single star puts its switch on shard 0 and its
+  // nodes contiguously over shards 1..K-1. Multi-tier fabrics spread each
+  // tier evenly over all K shards: leaf g on shard floor(g*K/L) with its
+  // node group beside it, so leaf-local frames never touch a mailbox, and
+  // spine j on shard floor(j*K/S). The busiest shard sets the pace of every
+  // window, so an even spread keeps the others from idling at the barrier.
+  // Placement decides only which thread runs an entity; routing, lookahead
+  // and the merge order, hence every simulated result, do not depend on it.
+  auto spread = [](int i, int count, int parts) {
+    return static_cast<int>((static_cast<std::int64_t>(i) * parts) / count);
+  };
   switch_shards_.assign(static_cast<std::size_t>(plan.switches()), 0);
   node_shards_.assign(static_cast<std::size_t>(config_.nodes), 0);
   if (k >= 2) {
     if (plan.single_star()) {
       for (int i = 0; i < config_.nodes; ++i) {
         node_shards_[static_cast<std::size_t>(i)] =
-            1 + static_cast<int>((static_cast<std::int64_t>(i) * (k - 1)) /
-                                 config_.nodes);
+            1 + spread(i, config_.nodes, k - 1);
       }
     } else {
       for (int g = 0; g < plan.leaves(); ++g) {
         switch_shards_[static_cast<std::size_t>(g)] =
-            1 + static_cast<int>((static_cast<std::int64_t>(g) * (k - 1)) /
-                                 plan.leaves());
+            spread(g, plan.leaves(), k);
+      }
+      for (int j = 0; j < plan.spines(); ++j) {
+        switch_shards_[static_cast<std::size_t>(plan.leaves() + j)] =
+            spread(j, plan.spines(), k);
       }
       for (int i = 0; i < config_.nodes; ++i) {
         node_shards_[static_cast<std::size_t>(i)] =

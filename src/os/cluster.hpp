@@ -10,12 +10,13 @@
 // spanning-tree flag: non-tree edges have flooding disabled on both end
 // ports, so broadcasts reach every node exactly once and cannot loop.
 //
-// Sharded builds (`shards` > 1 through the ShardGroup constructor): a
-// node-bearing switch co-resides on the shard of its node group, so
+// Sharded builds (`shards` > 1 through the ShardGroup constructor): both
+// tiers of a multi-tier fabric spread over all K shards. Leaf (or ring
+// member) g goes to shard floor(g*K/L) and its node group stays with it, so
 // leaf-local traffic never crosses a shard boundary — only trunk frames pay
-// the mailbox + Frame::detach hop. Spine switches (trunk-only) live on
-// shard 0. The legacy single star keeps its PR 5 placement: switch on shard
-// 0, nodes spread contiguously over shards 1..K-1. Every cross-shard link
+// the mailbox + Frame::detach hop; spine j goes to shard floor(j*K/S). The
+// single star puts its switch on shard 0 and spreads its nodes
+// contiguously over shards 1..K-1. Every cross-shard link
 // (node-to-switch or trunk) is declared as a PDES channel with lookahead =
 // delivery floor + propagation, validated positive at build time.
 #pragma once
@@ -97,7 +98,6 @@ class Cluster {
   [[nodiscard]] int shard_of_switch(int s) const {
     return switch_shards_.at(static_cast<std::size_t>(s));
   }
-  [[nodiscard]] int switch_shard() const { return shard_of_switch(0); }
   [[nodiscard]] sim::Simulator& sim_of_node(int i) {
     return nodes_.at(static_cast<std::size_t>(i))->sim();
   }

@@ -10,8 +10,8 @@
 //
 // Shard placement follows the topology: a node-bearing (leaf/ring) switch
 // co-resides on the shard of its node group, so leaf-local traffic never
-// crosses a shard boundary; only trunk frames pay the mailbox hop. Spine
-// switches, which carry only trunk traffic, live on shard 0.
+// crosses a shard boundary; only trunk frames pay the mailbox hop. Leaves
+// and spines each spread evenly over all shards (see os/cluster.hpp).
 #pragma once
 
 #include <string>

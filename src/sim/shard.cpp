@@ -1,6 +1,7 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -20,6 +21,15 @@ inline void cpu_relax() {
 // t + d without wrapping past kNever (t may be kNever itself).
 inline SimTime saturating_add(SimTime t, SimTime d) {
   return (t > kNever - d) ? kNever : t + d;
+}
+
+using HostClock = std::chrono::steady_clock;
+
+inline std::uint64_t elapsed_ns(HostClock::time_point from,
+                                HostClock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+          .count());
 }
 
 }  // namespace
@@ -46,7 +56,11 @@ void SpinBarrier::arrive_and_wait() {
 }
 
 ShardGroup::ShardGroup(Simulator& home, int shards)
-    : home_(home), barrier_(std::max(shards, 1), [this] { serial_phase(); }) {
+    : home_(home), barrier_(std::max(shards, 1), [this] {
+        const HostClock::time_point start = HostClock::now();
+        serial_phase();  // never throws: failures go to record_error()
+        serial_ns_ += elapsed_ns(start, HostClock::now());
+      }) {
   const int k = std::max(shards, 1);
   sims_.reserve(static_cast<std::size_t>(k));
   sims_.push_back(&home_);
@@ -256,11 +270,16 @@ void ShardGroup::serial_phase() {
 void ShardGroup::worker_loop(int shard) {
   Simulator& sim = *sims_[static_cast<std::size_t>(shard)];
   Lane& lane = lanes_[static_cast<std::size_t>(shard)];
+  // Two clock reads per window: one on leaving the barrier, one on
+  // arriving at the next, so busy and wait time tile the whole loop.
+  HostClock::time_point arrived = HostClock::now();
   for (;;) {
     // Publish the head of this shard's queue for the coordinator's window
     // algebra; the barrier's release is the happens-before edge.
     lane.published_next = sim.next_event_time();
     barrier_.arrive_and_wait();
+    const HostClock::time_point released = HostClock::now();
+    lane.wait_ns += elapsed_ns(arrived, released);
     if (done_) break;
     try {
       sim.run_before(windows_[static_cast<std::size_t>(shard)]);
@@ -269,6 +288,8 @@ void ShardGroup::worker_loop(int shard) {
       // Keep arriving at barriers so the group can agree to stop; the
       // serial phase sees failed_ and raises done_.
     }
+    arrived = HostClock::now();
+    lane.busy_ns += elapsed_ns(released, arrived);
   }
 }
 

@@ -21,11 +21,12 @@
 // plus the serialization floor, see net::Link), so no event executed inside
 // shard src's window can produce an effect on shard d before W[d]. Only the
 // channels that actually exist constrain a shard: on a leaf-sharded fabric
-// a worker shard is bounded by shard 0's clock alone (its one trunk), and a
-// shard with no incoming channel runs straight to the bound in one window —
-// strictly wider windows, and strictly fewer barrier rounds, than the old
-// single global min-lookahead bound. Mailboxes are only appended during the
-// parallel phase and only drained in the serial phase — null-message-free
+// a shard is bounded by the clocks of the shards its trunks reach, not by
+// the tightest node link on some other shard, and a shard with no incoming
+// channel runs straight to the bound in one window — strictly wider
+// windows, and strictly fewer barrier rounds, than the old single global
+// min-lookahead bound. Mailboxes are only appended during the parallel
+// phase and only drained in the serial phase — null-message-free
 // conservative PDES.
 //
 // Determinism: the serial phase injects mailbox events destination-major,
@@ -170,6 +171,21 @@ class ShardGroup {
     return events_drained_;
   }
 
+  // Engine-phase host time in nanoseconds (monotone across runs; only valid
+  // while the group is not running; all 0 with one shard). busy_ns(s) is
+  // the time shard s spent executing its windows, wait_ns(s) the time it
+  // spent inside the barrier, and serial_ns() the time the serial phase
+  // took between windows. The serial phase runs inside the barrier, so it
+  // is part of every shard's wait. Host-clock readings: never feed them
+  // into simulated results.
+  [[nodiscard]] std::uint64_t busy_ns(int s) const {
+    return lanes_[static_cast<std::size_t>(s)].busy_ns;
+  }
+  [[nodiscard]] std::uint64_t wait_ns(int s) const {
+    return lanes_[static_cast<std::size_t>(s)].wait_ns;
+  }
+  [[nodiscard]] std::uint64_t serial_ns() const { return serial_ns_; }
+
  private:
   // Per-shard coordination lane, owned by that shard's worker thread during
   // a run (and by the controlling thread between runs). Cache-line aligned
@@ -178,6 +194,8 @@ class ShardGroup {
     SimTime published_next = kNever;  // next_event_time at barrier arrival
     std::vector<int> dirty_dsts;      // mailboxes first-posted this window
     std::uint64_t posts = 0;          // total cross-shard posts by this src
+    std::uint64_t busy_ns = 0;        // host time running windows
+    std::uint64_t wait_ns = 0;        // host time inside the barrier
   };
 
   std::uint64_t run_bounded(SimTime bound);
@@ -237,6 +255,7 @@ class ShardGroup {
   std::uint64_t windows_opened_ = 0;
   std::uint64_t barrier_waits_ = 0;
   std::uint64_t events_drained_ = 0;
+  std::uint64_t serial_ns_ = 0;
 
   // Persistent worker pool. Threads are spawned on the first multi-shard
   // run and parked on `run_cv_` between runs; `run_seq_` increments release

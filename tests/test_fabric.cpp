@@ -6,6 +6,7 @@
 // against a spine uplink.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -336,6 +337,75 @@ TEST(Fabric, CrossShardUnicastPerformsZeroPayloadDeepCopies) {
 
 // --- Shard placement ----------------------------------------------------------
 
+// Both tiers of a multi-tier fabric spread over all K shards: every shard
+// hosts nodes, per-shard node counts differ by at most one leaf's group and
+// per-shard leaf and spine counts by at most one, and every node sits on
+// its leaf's shard. Nine leaves divide none of 2, 4 and 8.
+TEST(Fabric, ShardPlacementSpreadsLeavesAndSpinesOverEveryShard) {
+  constexpr int kLeaves = 9;
+  constexpr int kNodesPerLeaf = 4;
+  for (const auto& spec : {os::TopologySpec::fat_tree(kLeaves),
+                           os::TopologySpec::leaf_spine(kLeaves, 3),
+                           os::TopologySpec::switch_ring(kLeaves)}) {
+    for (const int k : {2, 3, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << "topology kind "
+                                      << static_cast<int>(spec.kind)
+                                      << " shards " << k);
+      os::ClusterConfig cc;
+      cc.nodes = kLeaves * kNodesPerLeaf;
+      cc.topology = spec;
+      sim::Simulator home;
+      sim::ShardGroup group(home, k);
+      os::Cluster cluster(group, cc);
+      const os::TopologyPlan& plan = cluster.topology();
+
+      std::vector<int> nodes(static_cast<std::size_t>(k), 0);
+      std::vector<int> leaves(static_cast<std::size_t>(k), 0);
+      std::vector<int> spines(static_cast<std::size_t>(k), 0);
+      for (int i = 0; i < cc.nodes; ++i) {
+        const int shard = cluster.shard_of_node(i);
+        EXPECT_EQ(shard, cluster.shard_of_switch(plan.leaf_of_node(i)))
+            << "node " << i;
+        ++nodes[static_cast<std::size_t>(shard)];
+      }
+      for (int s = 0; s < plan.switches(); ++s) {
+        auto& tier = s < plan.leaves() ? leaves : spines;
+        ++tier[static_cast<std::size_t>(cluster.shard_of_switch(s))];
+      }
+      auto spread = [](const std::vector<int>& per_shard) {
+        const auto [lo, hi] =
+            std::minmax_element(per_shard.begin(), per_shard.end());
+        return *hi - *lo;
+      };
+      EXPECT_GE(*std::min_element(nodes.begin(), nodes.end()), 1);
+      EXPECT_LE(spread(nodes), kNodesPerLeaf);
+      EXPECT_LE(spread(leaves), 1);
+      EXPECT_LE(spread(spines), 1);
+    }
+  }
+}
+
+// The single star keeps its switch on shard 0 and its nodes on 1..K-1.
+TEST(Fabric, SingleStarPlacesSwitchOnShardZeroAndNodesOnTheRest) {
+  for (const int k : {2, 3, 4, 8}) {
+    os::ClusterConfig cc;
+    cc.nodes = 16;
+    sim::Simulator home;
+    sim::ShardGroup group(home, k);
+    os::Cluster cluster(group, cc);
+    EXPECT_EQ(cluster.shard_of_switch(0), 0) << "shards " << k;
+    std::vector<int> nodes(static_cast<std::size_t>(k), 0);
+    for (int i = 0; i < cc.nodes; ++i) {
+      ++nodes[static_cast<std::size_t>(cluster.shard_of_node(i))];
+    }
+    EXPECT_EQ(nodes[0], 0) << "shards " << k;
+    for (int s = 1; s < k; ++s) {
+      EXPECT_GE(nodes[static_cast<std::size_t>(s)], 1)
+          << "shards " << k << " shard " << s;
+    }
+  }
+}
+
 // Leaf switches co-reside with their node groups, so traffic that stays
 // behind one leaf never posts a cross-shard mailbox event.
 TEST(Fabric, LeafLocalTrafficCrossesNoShardBoundary) {
@@ -373,7 +443,7 @@ TEST(Fabric, LeafLocalTrafficCrossesNoShardBoundary) {
   EXPECT_EQ(bed.shards.cross_shard_posts(), 0u);
 
   // Sanity of the meter itself: one cross-leaf message must cross shards
-  // (leaf0 on shard 1, spine on shard 0, leaf1 on shard 2).
+  // (leaf0 and the spine on shard 0, leaf1 on shard 1).
   bed.sim_of(0).at(bed.now() + sim::microseconds(1.0), [&bed, &ok] {
     Run::tx(bed.module(0), 4, &ok[0]);
   });
@@ -435,7 +505,7 @@ TEST(Fabric, ShardedRunMatchesSingleShardOnEveryTopology) {
     const Result base = trial(spec, 1);
     EXPECT_EQ(base.ok, 12);
     EXPECT_EQ(base.got, 12);
-    for (const int shards : {2, 5}) {
+    for (const int shards : {2, 3, 4, 5}) {
       EXPECT_EQ(base, trial(spec, shards))
           << "topology kind " << static_cast<int>(spec.kind) << " shards "
           << shards;

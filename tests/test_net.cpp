@@ -6,6 +6,7 @@
 #include "net/frame.hpp"
 #include "net/link.hpp"
 #include "net/switch.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace clicsim::net {
@@ -28,6 +29,27 @@ TEST(Buffer, PatternIsDeterministic) {
   EXPECT_NE(a.checksum(), c.checksum());
   EXPECT_TRUE(a.content_equals(b));
   EXPECT_FALSE(a.content_equals(c));
+}
+
+// Byte i of a pattern is byte i % 8 (little-endian) of draw i / 8 of
+// sim::Rng(seed), whatever the size's remainder mod 8, so a shorter
+// pattern is a prefix of a longer one; different seeds differ even in a
+// tail-only pattern.
+TEST(Buffer, PatternIsLittleEndianRngWords) {
+  constexpr std::uint64_t kSeed = 0x5eed;
+  const auto whole = Buffer::pattern(4096, kSeed);
+  sim::Rng rng(kSeed);
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < 4096; ++i) {
+    if (i % 8 == 0) word = rng.next();
+    ASSERT_EQ(whole.data()[i], static_cast<std::byte>(word >> (8 * (i % 8))))
+        << "byte " << i;
+  }
+  for (const std::int64_t n : {0, 1, 3, 7, 8, 9, 15, 16, 4095}) {
+    EXPECT_TRUE(Buffer::pattern(n, kSeed).content_equals(whole.slice(0, n)))
+        << "size " << n;
+  }
+  EXPECT_FALSE(Buffer::pattern(3, 7).content_equals(Buffer::pattern(3, 8)));
 }
 
 TEST(Buffer, SliceSharesContent) {

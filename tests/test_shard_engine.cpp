@@ -340,8 +340,8 @@ TEST(ShardGroup, PersistentWorkersSurviveAcrossRuns) {
 }
 
 // Engine instrumentation: drained events reconcile with posts, every
-// released window is counted, and the final all-quiet barrier round is a
-// wait but not a window.
+// released window is counted, the final all-quiet barrier round is a wait
+// but not a window, and every shard has clocked both busy and barrier time.
 TEST(ShardGroup, InstrumentationCountersTrackWindowsAndDrains) {
   sim::Simulator home;
   sim::ShardGroup group(home, 2);
@@ -367,6 +367,11 @@ TEST(ShardGroup, InstrumentationCountersTrackWindowsAndDrains) {
   EXPECT_EQ(group.events_drained(), group.cross_shard_posts());
   EXPECT_GE(group.windows_opened(), 5u);  // one per hop at minimum
   EXPECT_EQ(group.barrier_waits(), group.windows_opened() + 1);
+  for (int s = 0; s < group.shards(); ++s) {
+    EXPECT_GT(group.busy_ns(s), 0u) << "shard " << s;
+    EXPECT_GT(group.wait_ns(s), 0u) << "shard " << s;
+  }
+  EXPECT_GT(group.serial_ns(), 0u);
 
   // A single-shard group never opens a window at all.
   sim::Simulator solo_home;
@@ -376,6 +381,9 @@ TEST(ShardGroup, InstrumentationCountersTrackWindowsAndDrains) {
   EXPECT_EQ(solo.windows_opened(), 0u);
   EXPECT_EQ(solo.barrier_waits(), 0u);
   EXPECT_EQ(solo.events_drained(), 0u);
+  EXPECT_EQ(solo.busy_ns(0), 0u);
+  EXPECT_EQ(solo.wait_ns(0), 0u);
+  EXPECT_EQ(solo.serial_ns(), 0u);
 }
 
 // The per-channel matrix must open strictly fewer windows than a uniform
