@@ -184,8 +184,8 @@ std::uint64_t tcp_sweep_point(std::int64_t mtu, std::int64_t size,
 
 // A fixed, deterministic fig5-style sweep (CLIC + TCP ping-pong bandwidth
 // points at both MTUs): wall-clock and simulated-events/sec for the whole
-// protocol hot path, surfaced as counters so scripts/bench_report.sh can
-// emit BENCH_engine.json.
+// protocol hot path, with the simulated event count and the packet-pool
+// traffic surfaced as benchmark counters.
 void BM_Fig5StyleSweep(benchmark::State& state) {
   static constexpr std::int64_t kSizes[] = {16, 4096, 65536, 1 << 20};
   std::uint64_t per_run = 0;

@@ -12,8 +12,9 @@
 // seeded streams, so rows and digests are byte-identical at any `-j` and
 // any `--shards`. Wall-clock goes to stderr. Exit status is
 // bench::exit_code(): a violated claim (lost requests, deadline misses on
-// a clean link, broken quantile ordering, inexact merge) fails the binary
-// and scripts/bench_report.sh records the rows as regression gates.
+// a clean link, broken quantile ordering, inexact merge) fails the binary,
+// and `ctest -L invariance` runs it at -j 1 vs 4 and --shards 1 vs 2, so
+// both the claims and the byte-identical rows are test gates.
 //
 // `--adaptive` appends three more RPC cells running the repaired stack
 // (adaptive_clic_config, column "clic-a"; DESIGN.md §4k) and gates the

@@ -78,47 +78,4 @@ void report_clic(std::ostream& os, clic::ClicModule& module) {
   }
 }
 
-void report_adaptive(std::ostream& os, clic::ClicModule& module) {
-  if (!module.config().adaptive) {
-    os << "adaptive@node" << module.node().id() << ": disabled\n";
-    return;
-  }
-  const clic::ClicModule::AdaptiveStats s = module.adaptive_stats();
-  os << "adaptive@node" << module.node().id() << ": srtt-max " << std::fixed
-     << std::setprecision(1) << sim::to_us(s.srtt_max) << " us, rttvar-max "
-     << sim::to_us(s.rttvar_max) << " us, samples " << s.rtt_samples
-     << ", win " << s.window_min << ".." << s.window_max << ", collapses "
-     << s.window_collapses << '\n';
-  os.unsetf(std::ios::fixed);
-}
-
-void report_faults(std::ostream& os, os::Cluster& cluster) {
-  net::Switch& sw = cluster.ethernet_switch();
-  os << "faults: switch tail-drops " << sw.dropped() << ", port-down "
-     << sw.port_down_drops() << ", bad-fcs " << sw.bad_fcs() << '\n';
-  for (int i = 0; i < cluster.size(); ++i) {
-    for (int j = 0; j < cluster.config().nics_per_node; ++j) {
-      net::Link& link = cluster.link(i, j);
-      std::uint64_t dropped = 0;
-      std::uint64_t bursts = 0;
-      std::uint64_t corrupted = 0;
-      std::uint64_t dups = 0;
-      std::uint64_t delayed = 0;
-      for (int d = 0; d < 2; ++d) {
-        dropped += link.faults(d).dropped();
-        bursts += link.faults(d).burst_drops();
-        corrupted += link.faults(d).corrupted();
-        dups += link.faults(d).duplicated();
-        delayed += link.faults(d).delayed();
-      }
-      os << "  " << link.name() << ": dropped " << dropped << " (burst "
-         << bursts << "), corrupted " << corrupted << ", duplicated "
-         << dups << ", delayed " << delayed << ", carrier-drops "
-         << link.carrier_drops() << ", carrier "
-         << (link.carrier_up() ? "up" : "down") << ", nic-stall-drops "
-         << cluster.node(i).nic(j).stall_drops() << '\n';
-    }
-  }
-}
-
 }  // namespace clicsim::apps

@@ -18,14 +18,4 @@ void report_cluster(std::ostream& os, os::Cluster& cluster);
 // degradation telemetry: timeouts / backoff / gave-up / resets).
 void report_clic(std::ostream& os, clic::ClicModule& module);
 
-// Fault telemetry snapshot (any protocol stack): per-link injector and
-// carrier counters, switch tail/port-down drops, NIC stall drops.
-void report_faults(std::ostream& os, os::Cluster& cluster);
-
-// Adaptive-mode degradation telemetry for one module (DESIGN.md §4k):
-// final srtt/rttvar, window excursion, and timeout-driven window
-// collapses — the "why did the tail move" companion to report_faults.
-// Prints a single disabled marker when Config::adaptive is off.
-void report_adaptive(std::ostream& os, clic::ClicModule& module);
-
 }  // namespace clicsim::apps

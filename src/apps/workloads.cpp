@@ -1038,14 +1038,4 @@ std::vector<std::int64_t> sweep_sizes(std::int64_t lo, std::int64_t hi,
   return sizes;
 }
 
-sim::Series bandwidth_series(
-    const std::string& name, const std::vector<std::int64_t>& sizes,
-    const std::function<sim::SimTime(std::int64_t)>& one_way) {
-  sim::Series series(name);
-  for (const auto size : sizes) {
-    series.add(static_cast<double>(size), to_mbps(size, one_way(size)));
-  }
-  return series;
-}
-
 }  // namespace clicsim::apps

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "apps/jitter_buffer.hpp"
@@ -185,10 +184,5 @@ struct StreamingResult {
 [[nodiscard]] std::vector<std::int64_t> sweep_sizes(
     std::int64_t lo = 16, std::int64_t hi = 4 * 1024 * 1024,
     int per_decade = 4);
-
-// Builds a bandwidth-vs-size series from a one-way-time function.
-[[nodiscard]] sim::Series bandwidth_series(
-    const std::string& name, const std::vector<std::int64_t>& sizes,
-    const std::function<sim::SimTime(std::int64_t)>& one_way);
 
 }  // namespace clicsim::apps

@@ -24,45 +24,6 @@ double Summary::variance() const {
 
 double Summary::stddev() const { return std::sqrt(variance()); }
 
-void Histogram::add(std::int64_t value) {
-  int b = 0;
-  if (value > 0) {
-    b = 63 - std::countl_zero(static_cast<std::uint64_t>(value));
-  }
-  b = std::clamp(b, 0, kBuckets - 1);
-  ++buckets_[b];
-  ++total_;
-}
-
-std::int64_t Histogram::quantile_bound(double q) const {
-  if (total_ == 0) return 0;
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total_)));
-  std::uint64_t acc = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    acc += buckets_[i];
-    if (acc >= target) {
-      return i >= 62 ? INT64_MAX : (std::int64_t{1} << (i + 1)) - 1;
-    }
-  }
-  return INT64_MAX;
-}
-
-void Histogram::print(std::ostream& os, const std::string& label) const {
-  os << label << " (n=" << total_ << ")\n";
-  if (total_ == 0) return;
-  std::uint64_t maxb = 0;
-  for (auto b : buckets_) maxb = std::max(maxb, b);
-  for (int i = 0; i < kBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
-    const auto lo = std::int64_t{1} << i;
-    const int bar = static_cast<int>(
-        50.0 * static_cast<double>(buckets_[i]) / static_cast<double>(maxb));
-    os << std::setw(14) << lo << " | " << std::string(bar, '#') << ' '
-       << buckets_[i] << '\n';
-  }
-}
-
 HdrHistogram::HdrHistogram(int significant_digits, std::int64_t max_trackable)
     : sig_digits_(significant_digits), max_trackable_(max_trackable) {
   if (significant_digits < 1 || significant_digits > 5) {

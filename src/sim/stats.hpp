@@ -1,7 +1,7 @@
 // Lightweight measurement primitives used throughout the models and the
-// benchmark harness: counters, running summaries, log2-bucketed histograms,
-// HDR-style log-linear histograms for tail-latency telemetry, and (x, y)
-// series for figure reproduction.
+// benchmark harness: counters, running summaries, HDR-style log-linear
+// histograms for tail-latency telemetry, and (x, y) series for figure
+// reproduction.
 #pragma once
 
 #include <cstdint>
@@ -42,30 +42,8 @@ class Summary {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Histogram over power-of-two buckets: bucket i counts values in
-// [2^i, 2^(i+1)). Values < 1 land in bucket 0. Intended for latency (ns)
-// and size distributions where relative resolution suffices.
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void add(std::int64_t value);
-  [[nodiscard]] std::uint64_t count() const { return total_; }
-  [[nodiscard]] std::uint64_t bucket(int i) const { return buckets_[i]; }
-
-  // Upper bound of the bucket containing quantile q (0 < q <= 1);
-  // 0 when empty. Coarse (power-of-two) by construction.
-  [[nodiscard]] std::int64_t quantile_bound(double q) const;
-
-  void print(std::ostream& os, const std::string& label) const;
-
- private:
-  std::uint64_t buckets_[kBuckets] = {};
-  std::uint64_t total_ = 0;
-};
-
 // HDR-style log-linear histogram for tail-latency telemetry (p99/p999
-// claims need far finer resolution than the power-of-two Histogram above).
+// claims need a bounded relative error, not a power-of-two bucket).
 //
 // Values are bucketed with a guaranteed relative precision: within each
 // power-of-two range the range is subdivided into `sub_bucket_count`

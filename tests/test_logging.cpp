@@ -1,4 +1,4 @@
-// Logging and histogram rendering (smoke coverage for the diagnostics).
+// Logging and series-table rendering (smoke coverage for the diagnostics).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -28,24 +28,6 @@ TEST(Logging, LevelNames) {
   EXPECT_EQ(log_level_name(LogLevel::kTrace), "TRACE");
   EXPECT_EQ(log_level_name(LogLevel::kError), "ERROR");
   EXPECT_EQ(log_level_name(LogLevel::kOff), "OFF");
-}
-
-TEST(Histogram, PrintRendersBars) {
-  Histogram h;
-  for (int i = 0; i < 100; ++i) h.add(10);
-  for (int i = 0; i < 10; ++i) h.add(1000);
-  std::ostringstream os;
-  h.print(os, "latency");
-  const std::string s = os.str();
-  EXPECT_NE(s.find("latency (n=110)"), std::string::npos);
-  EXPECT_NE(s.find('#'), std::string::npos);
-}
-
-TEST(Histogram, EmptyPrintsHeaderOnly) {
-  Histogram h;
-  std::ostringstream os;
-  h.print(os, "empty");
-  EXPECT_NE(os.str().find("(n=0)"), std::string::npos);
 }
 
 TEST(SeriesTable, RendersSharedGrid) {

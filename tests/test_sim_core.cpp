@@ -560,15 +560,6 @@ TEST(Stats, SummaryMoments) {
   EXPECT_NEAR(s.stddev(), 2.138, 0.01);
 }
 
-TEST(Stats, HistogramQuantiles) {
-  Histogram h;
-  for (int i = 1; i <= 1000; ++i) h.add(i);
-  EXPECT_EQ(h.count(), 1000u);
-  // Coarse power-of-two bounds.
-  EXPECT_LE(h.quantile_bound(0.5), 1023);
-  EXPECT_GE(h.quantile_bound(0.99), 511);
-}
-
 TEST(Stats, SeriesInterpolationAndThresholds) {
   Series s("bw");
   s.add(1, 10);

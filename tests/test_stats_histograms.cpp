@@ -1,8 +1,6 @@
 // HdrHistogram contract tests: quantiles against a sorted-vector oracle,
-// the documented precision guarantee, exact/associative/commutative
-// merges — plus a regression pin on the coarse legacy log2
-// Histogram::quantile_bound so the two estimators can't silently drift
-// apart.
+// the documented precision guarantee, and exact/associative/commutative
+// merges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,39 +189,6 @@ TEST(HdrHistogram, ExactMeanOfClampedValues) {
   }
   EXPECT_DOUBLE_EQ(h.mean(), static_cast<double>(sum) /
                                  static_cast<double>(values.size()));
-}
-
-// The legacy power-of-two Histogram stays the cheap estimator used by
-// kernel/NIC telemetry; pin its quantile_bound to the oracle envelope
-// [oracle, 2 * oracle + 1] so neither estimator drifts.
-TEST(LegacyHistogram, QuantileBoundEnvelopeRegression) {
-  const auto values = mixed_samples(9, 3000);
-  sim::Histogram h;
-  for (const auto v : values) h.add(v);
-  EXPECT_EQ(h.count(), values.size());
-  for (const double q : {0.01, 0.5, 0.9, 0.99, 1.0}) {
-    const std::int64_t oracle = oracle_quantile(values, q);
-    const std::int64_t bound = h.quantile_bound(q);
-    EXPECT_GE(bound, oracle) << "q=" << q;
-    EXPECT_LE(bound, 2 * oracle + 1) << "q=" << q;
-  }
-  sim::Histogram empty;
-  EXPECT_EQ(empty.quantile_bound(0.5), 0);
-}
-
-// HdrHistogram at d digits is never coarser than the legacy estimator on
-// the same data (sub-buckets subdivide every power-of-two range).
-TEST(LegacyHistogram, HdrIsAtLeastAsTight) {
-  const auto values = mixed_samples(13, 2000);
-  sim::Histogram coarse;
-  sim::HdrHistogram fine(3);
-  for (const auto v : values) {
-    coarse.add(v);
-    fine.add(v);
-  }
-  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
-    EXPECT_LE(fine.quantile(q), coarse.quantile_bound(q)) << "q=" << q;
-  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // collectives (scatter, alltoall).
 #include <gtest/gtest.h>
 
+#include "apps/sweep.hpp"
 #include "apps/workloads.hpp"
 
 namespace clicsim {
@@ -32,11 +33,23 @@ TEST(Workloads, ToMbpsMath) {
 
 TEST(Workloads, BandwidthSeriesEvaluatesEachSize) {
   const std::vector<std::int64_t> sizes{100, 1000};
-  auto series = apps::bandwidth_series(
-      "test", sizes,
-      [](std::int64_t n) { return sim::SimTime{n * 10}; });  // 10 ns/B
-  ASSERT_EQ(series.points().size(), 2u);
-  EXPECT_DOUBLE_EQ(series.points()[0].y, series.points()[1].y);  // flat rate
+  // Two curves, so the flat job list must be reassembled in spec order.
+  const auto curves = apps::bandwidth_series_set(
+      {{"rate", [](std::int64_t n) { return sim::SimTime{n * 10}; }},
+       {"fixed", [](std::int64_t) { return sim::SimTime{1000}; }}},
+      sizes, apps::SweepOptions{2});
+  ASSERT_EQ(curves.size(), 2u);
+  EXPECT_EQ(curves[0].name(), "rate");
+  EXPECT_EQ(curves[1].name(), "fixed");
+  for (const auto& c : curves) {
+    ASSERT_EQ(c.points().size(), 2u);
+    EXPECT_DOUBLE_EQ(c.points()[0].x, 100.0);
+    EXPECT_DOUBLE_EQ(c.points()[1].x, 1000.0);
+  }
+  // 10 ns/B is a flat rate; a fixed one-way time gives ten times the
+  // bandwidth at ten times the size.
+  EXPECT_DOUBLE_EQ(curves[0].points()[0].y, curves[0].points()[1].y);
+  EXPECT_DOUBLE_EQ(curves[1].points()[1].y, 10.0 * curves[1].points()[0].y);
 }
 
 // --- Stream drivers ---------------------------------------------------------------
