@@ -19,7 +19,7 @@
 
 namespace clicsim::bench {
 
-// ---- shared --shards / -j argument family ------------------------------
+// ---- shared --shards argument family -----------------------------------
 //
 // pdes_scale and collective_scale used to re-parse these independently
 // (drifting flags and clamp ranges); both now consume them here so the
@@ -37,9 +37,7 @@ inline constexpr const char* kShardArgsHelp =
     "  --shard-stats  print engine coordination counters (windows,\n"
     "                 barrier waits, cross-shard posts, COW payload\n"
     "                 mints) and host time summed over shards (busy,\n"
-    "                 barrier wait, serial phase) to stderr after the run\n"
-    "  -j N           accepted for script compatibility; these binaries\n"
-    "                 run one scenario at a time\n";
+    "                 barrier wait, serial phase) to stderr after the run\n";
 
 // Parses decimal `text` into [lo, hi]; false on malformed/out-of-range
 // (callers turn that into their own usage() exit).
@@ -80,16 +78,6 @@ inline ArgOutcome consume_shard_arg(ShardArgs& out, int argc, char** argv,
   if (std::strcmp(arg, "--shard-stats") == 0) {
     out.stats = true;
     return ArgOutcome::kConsumed;
-  }
-  // -j/--jobs: validated and discarded (one scenario per run).
-  if (std::strcmp(arg, "-j") == 0 || std::strcmp(arg, "--jobs") == 0) {
-    return ok(value(), 1, 4096, v) ? ArgOutcome::kConsumed : ArgOutcome::kBad;
-  }
-  if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-    return ok(arg + 2, 1, 4096, v) ? ArgOutcome::kConsumed : ArgOutcome::kBad;
-  }
-  if (std::strncmp(arg, "--jobs=", 7) == 0) {
-    return ok(arg + 7, 1, 4096, v) ? ArgOutcome::kConsumed : ArgOutcome::kBad;
   }
   return ArgOutcome::kNotMine;
 }

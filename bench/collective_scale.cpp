@@ -43,7 +43,7 @@ struct Options {
   std::FILE* out = code == 0 ? stdout : stderr;
   std::fprintf(out,
                "usage: %s [--shards N] [--shard-stats] [--nodes N[,N...]]"
-               " [--bytes N] [--tcp-max N] [-j N]\n"
+               " [--bytes N] [--tcp-max N]\n"
                "%s"
                "  --nodes L      comma-separated rank counts\n"
                "                 (default 128,512,1024)\n"

@@ -40,7 +40,7 @@ struct Options {
   std::FILE* out = code == 0 ? stdout : stderr;
   std::fprintf(out,
                "usage: %s [--shards N] [--shard-stats] [--nodes N]"
-               " [--messages N] [--bytes N] [-j N]\n"
+               " [--messages N] [--bytes N]\n"
                "%s"
                "  --nodes N      cluster size (default 64)\n"
                "  --messages N   confirmed sends per node (default 48)\n"

@@ -4,9 +4,9 @@
 # repository root.
 #
 # Usage: scripts/reproduce.sh [-j N] [--shards N]
-#   -j N        worker threads per figure binary (default: all cores; -j1 is
-#               the exact sequential run — figure output is byte-identical at
-#               any -j)
+#   -j N        worker threads per sweeping bench binary (default: all cores;
+#               -j1 is the exact sequential run — figure output is
+#               byte-identical at any -j)
 #   --shards N  intra-scenario PDES shards per simulation (default 1; figure
 #               output is byte-identical at any shard count)
 #
@@ -40,6 +40,8 @@ for b in build/bench/*; do
     case "$(basename "$b")" in
       micro_engine)  # google-benchmark binary: no -j flag
         "$b" 2>&1 | tee -a bench_output.txt ;;
+      pdes_scale|collective_scale)  # one scenario per run: no -j flag
+        "$b" --shards "$SHARDS" 2>&1 | tee -a bench_output.txt ;;
       *)
         "$b" -j "$JOBS" --shards "$SHARDS" 2>&1 | tee -a bench_output.txt ;;
     esac

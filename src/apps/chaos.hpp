@@ -14,7 +14,7 @@
 //     reported failure was delivered at most once (the two-generals
 //     caveat: an ack can be black-holed after the data arrived);
 //   * the simulator quiesced (no runaway retransmission loops);
-//   * no orphan timers remain on any node's kernel wheel.
+//   * no orphan timer remains pending on any node's kernel.
 //
 // One integer seed replays an entire campaign byte-identically, at any
 // sweep parallelism, for both the CLIC and TCP stacks.
@@ -76,7 +76,7 @@ struct ChaosReport {
   int delivered = 0;  // messages verified intact at a receiver
   int invariant_violations = 0;  // exactly-once / at-most-once breaches
   bool quiesced = false;         // event queue drained before the deadline
-  bool timers_clean = false;     // every node's timer wheel is empty
+  bool timers_clean = false;     // no node has a kernel timer pending
 
   // Fault-side telemetry (what the campaign actually did).
   std::uint64_t outages_scheduled = 0;

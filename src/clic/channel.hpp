@@ -137,9 +137,9 @@ class Channel {
   ChannelOps* ops_;
   int peer_;
 
-  // TX state. The retransmit timer is a cancellable kernel (wheel) timer:
-  // fresh ack progress cancels and re-arms it instead of bumping a
-  // generation counter and stranding the superseded closure.
+  // TX state. The retransmit timer is a cancellable kernel timer: fresh
+  // ack progress cancels and re-arms it instead of bumping a generation
+  // counter and stranding the superseded closure.
   std::uint32_t next_seq_ = 0;
   std::uint32_t tx_base_ = 0;  // oldest unacknowledged sequence
   std::map<std::uint32_t, Unacked> unacked_;

@@ -128,13 +128,10 @@ void GammaModule::emit(int dst_node, GammaHeader header, net::Buffer payload,
 
 void GammaModule::arm_rto(int dst_node) {
   auto& peer = peers_[dst_node];
-  if (peer.rto_armed) return;
-  peer.rto_armed = true;
-  const std::uint64_t generation = ++peer.rto_generation;
-  node_->kernel().add_timer(config_.rto, [this, dst_node, generation] {
+  if (peer.rto_timer != os::Kernel::kInvalidTimer) return;
+  peer.rto_timer = node_->kernel().add_timer(config_.rto, [this, dst_node] {
     auto& p = peers_[dst_node];
-    if (generation != p.rto_generation) return;
-    p.rto_armed = false;
+    p.rto_timer = os::Kernel::kInvalidTimer;
     if (p.unacked.empty()) return;
     ++retransmits_;
     const net::Frame& f = p.unacked.front();
@@ -175,8 +172,8 @@ void GammaModule::packet_received(net::Frame frame, bool from_isr) {
       peer.unacked.pop_front();
       ++peer.base;
     }
-    ++peer.rto_generation;
-    peer.rto_armed = false;
+    node_->kernel().cancel_timer(peer.rto_timer);
+    peer.rto_timer = os::Kernel::kInvalidTimer;
     if (!peer.unacked.empty()) arm_rto(src);
     return;
   }

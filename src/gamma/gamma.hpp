@@ -95,8 +95,7 @@ class GammaModule : public os::ProtocolHandler {
     std::uint32_t next_seq = 0;
     std::uint32_t base = 0;
     std::deque<net::Frame> unacked;  // reliable mode only
-    std::uint64_t rto_generation = 0;
-    bool rto_armed = false;
+    os::Kernel::TimerId rto_timer = os::Kernel::kInvalidTimer;
   };
 
   void emit(int dst_node, GammaHeader header, net::Buffer payload,

@@ -17,7 +17,6 @@ Nic::Nic(sim::Simulator& sim, NicProfile profile, PciBus& pci, MemoryBus& mem,
       mac_(mac),
       name_(std::move(name)),
       mtu_(profile_.max_mtu),
-      coalesce_wheel_(sim),
       coalesce_usecs_(profile_.coalesce_usecs),
       coalesce_frames_(profile_.coalesce_frames) {}
 
@@ -302,9 +301,9 @@ void Nic::coalesce_on_frame() {
     fire_interrupt();
     return;
   }
-  if (coalesce_timer_ == sim::TimerWheel::kInvalidTimer) {
-    coalesce_timer_ = coalesce_wheel_.schedule_at(due, [this] {
-      coalesce_timer_ = sim::TimerWheel::kInvalidTimer;
+  if (coalesce_timer_ == sim::kNoEvent) {
+    coalesce_timer_ = sim_->at(due, [this] {
+      coalesce_timer_ = sim::kNoEvent;
       if (pending_frames_ > 0) fire_interrupt();
     });
   }
@@ -312,9 +311,9 @@ void Nic::coalesce_on_frame() {
 
 void Nic::fire_interrupt() {
   pending_frames_ = 0;
-  if (coalesce_timer_ != sim::TimerWheel::kInvalidTimer) {
-    coalesce_wheel_.cancel(coalesce_timer_);
-    coalesce_timer_ = sim::TimerWheel::kInvalidTimer;
+  if (coalesce_timer_ != sim::kNoEvent) {
+    sim_->cancel(coalesce_timer_);
+    coalesce_timer_ = sim::kNoEvent;
   }
   last_fire_ = sim_->now();
   ++irqs_fired_;

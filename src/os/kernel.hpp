@@ -3,20 +3,21 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "hw/cpu.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-#include "sim/timer_wheel.hpp"
+#include "sim/timers.hpp"
 
 namespace clicsim::os {
 
 class Kernel {
  public:
   Kernel(sim::Simulator& sim, hw::Cpu& cpu)
-      : sim_(&sim), cpu_(&cpu), wheel_(sim) {}
+      : sim_(&sim), cpu_(&cpu), timers_(sim) {}
 
   // --- Bottom halves -------------------------------------------------------
   // Queues `fn` to run in softirq context: after the ISR completes, the
@@ -27,19 +28,20 @@ class Kernel {
   [[nodiscard]] std::uint64_t bottom_halves_run() const { return bh_run_; }
 
   // --- Timers ---------------------------------------------------------------
-  // Backed by a hierarchical timer wheel: cancel_timer() destroys the
-  // closure in O(1) instead of leaving a tombstone event in the heap.
-  using TimerId = sim::TimerWheel::TimerId;
-  static constexpr TimerId kInvalidTimer = sim::TimerWheel::kInvalidTimer;
+  // Each timer is a plain simulator event: cancel_timer() destroys its
+  // closure at once, and a cancelled timer never runs. `fn` goes into the
+  // event as it is, not wrapped in an Action, so a small one allocates
+  // nothing.
+  using TimerId = sim::EventId;
+  static constexpr TimerId kInvalidTimer = sim::kNoEvent;
 
-  TimerId add_timer(sim::SimTime delay, sim::Action fn) {
-    return wheel_.schedule(delay, std::move(fn));
+  template <typename F>
+  TimerId add_timer(sim::SimTime delay, F&& fn) {
+    return timers_.schedule(delay, std::forward<F>(fn));
   }
-  void cancel_timer(TimerId id) { wheel_.cancel(id); }
-  [[nodiscard]] bool timer_pending(TimerId id) const {
-    return wheel_.pending(id);
-  }
-  [[nodiscard]] const sim::TimerWheel& timer_wheel() const { return wheel_; }
+  void cancel_timer(TimerId id) { timers_.cancel(id); }
+  // Pending, fired and cancelled tallies of this node's timers.
+  [[nodiscard]] const sim::Timers& timer_wheel() const { return timers_; }
 
   // --- System calls ----------------------------------------------------------
   // Charges the kernel-entry cost (INT 80h path) at kernel priority, then
@@ -62,7 +64,7 @@ class Kernel {
 
   sim::Simulator* sim_;
   hw::Cpu* cpu_;
-  sim::TimerWheel wheel_;
+  sim::Timers timers_;
   sim::RingQueue<sim::Action> bh_queue_;  // recycled slots, no deque churn
   bool bh_scheduled_ = false;
   std::uint64_t bh_run_ = 0;

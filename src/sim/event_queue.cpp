@@ -11,6 +11,7 @@ std::uint32_t EventQueue::acquire_slot_slow() {
   if ((slab_size_ >> kChunkBits) == chunks_.size()) {
     chunks_.push_back(std::make_unique<Action[]>(kChunkSize));
   }
+  tags_.push_back(kNoEvent);
   return slab_size_++;
 }
 

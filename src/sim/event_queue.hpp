@@ -17,8 +17,16 @@
 // of the heap sinking its last, typically far-future handle from the root
 // and then raising the child back up. Keys are unique (time, seq) pairs, so
 // which physical layout the heap takes never changes the dispatch order.
+//
+// Cancellation: emplace returns an EventId, and cancel() destroys that
+// event's closure and recycles its slot at once. The 16-byte handle stays
+// in the heap, marked dead because its slot's tag no longer matches it,
+// and is dropped whenever it reaches the root. A non-vacant root is thus
+// always live: a cancelled event never runs and never shows in size() or
+// next_time().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -28,49 +36,51 @@
 
 namespace clicsim::sim {
 
+// Names one scheduled event for cancellation. Never kNoEvent.
+using EventId = std::uint64_t;
+inline constexpr EventId kNoEvent = 0;
+
 class EventQueue {
  public:
   using Action = sim::Action;
 
   // Schedules the callable `f` at absolute time `t`, constructing it
-  // directly in its slab slot.
+  // directly in its slab slot. Same-time events run in emplace order.
   template <typename F>
-  void emplace(SimTime t, F&& f) {
-    emplace_reserved(t, next_seq_++, std::forward<F>(f));
-  }
-
-  // Draws the sequence number the next emplace would use without scheduling
-  // anything. The timer wheel reserves a sequence per timer at arm time and
-  // replays it through emplace_reserved at dispatch, so a timer fires with
-  // the same same-instant tie-break rank as a plain event scheduled when the
-  // timer was armed. Each reserved sequence may be in the queue at most once
-  // at a time.
-  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
-
-  template <typename F>
-  void emplace_reserved(SimTime t, std::uint64_t seq, F&& f) {
+  EventId emplace(SimTime t, F&& f) {
     const std::uint32_t slot = acquire_slot();
     slot_ref(slot) = std::forward<F>(f);
-    insert_handle(t, seq, slot);
+    const EventId id = (next_seq_++ << kSlotBits) | slot;
+    tags_[slot] = id;
+    insert_handle(t, id);
+    return id;
   }
 
-  // empty(), size() and next_time() stay exact while a callback runs with
-  // the root vacant.
+  // Destroys a pending event's closure now. Returns false when the event
+  // already ran, is running or was cancelled.
+  bool cancel(EventId id) {
+    const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
+    if (id == kNoEvent || slot >= slab_size_ || tags_[slot] != id) {
+      return false;
+    }
+    release(slot);
+    ++cancelled_;
+    if (!root_vacant_) drop_cancelled_root();
+    return true;
+  }
+
+  // empty(), size() and next_time() count only live events, and stay
+  // exact while a callback runs with the root vacant.
   [[nodiscard]] bool empty() const { return size() == 0; }
   [[nodiscard]] std::size_t size() const {
-    return heap_.size() - (root_vacant_ ? 1 : 0);
+    return heap_.size() - (root_vacant_ ? 1 : 0) - cancelled_;
   }
 
   // Time of the earliest pending event; kNever when empty.
   [[nodiscard]] SimTime next_time() const {
     if (!root_vacant_) return heap_.empty() ? kNever : heap_[0].time;
-    // Vacant root: the earliest pending event is one of its children.
-    SimTime t = kNever;
-    const std::size_t end = heap_.size() < 5 ? heap_.size() : 5;
-    for (std::size_t c = 1; c < end; ++c) {
-      if (heap_[c].time < t) t = heap_[c].time;
-    }
-    return t;
+    // Vacant root: the earliest pending event is below one of its children.
+    return earliest_below(0);
   }
 
   // Removes the earliest event and runs its callback *in place* in the
@@ -82,6 +92,7 @@ class EventQueue {
   void run_earliest() {
     if (root_vacant_) close_root();  // re-entered from a running callback
     const auto slot = static_cast<std::uint32_t>(heap_[0].seq_slot & kSlotMask);
+    tags_[slot] = kNoEvent;  // running: no longer cancellable
     root_vacant_ = true;
     try {
       slot_ref(slot)();
@@ -92,16 +103,14 @@ class EventQueue {
     retire(slot);
   }
 
-  // Total events ever pushed (for engine micro-benchmarks / diagnostics).
-  [[nodiscard]] std::uint64_t pushed() const { return next_seq_; }
-
  private:
   // 16-byte heap handle. The low kSlotBits of `seq_slot` address the slab
   // slot holding the callback; the high bits carry the insertion sequence.
   // Sequence numbers are unique, so comparing the packed word compares the
   // sequence (slot bits can never decide), which keeps the same-time
   // tie-break a single integer comparison. The packing bounds one queue at
-  // 2^40 (~10^12) lifetime events and 2^24 concurrently pending ones.
+  // 2^40 (~10^12) lifetime events and 2^24 concurrently pending ones. The
+  // word doubles as the EventId; sequences start at 1, so it is never 0.
   struct Handle {
     SimTime time;
     std::uint64_t seq_slot;
@@ -146,33 +155,72 @@ class EventQueue {
   }
   std::uint32_t acquire_slot_slow();  // grows the slab (cold path)
 
-  void insert_handle(SimTime t, std::uint64_t seq, std::uint32_t slot) {
-    const Handle h{t, (seq << kSlotBits) | slot};
+  // Destroys a slot's closure and recycles the slot. Its tag no longer
+  // matches any handle, which is what marks a cancelled handle.
+  void release(std::uint32_t slot) {
+    tags_[slot] = kNoEvent;
+    slot_ref(slot) = nullptr;
+    free_.push_back(slot);
+  }
+
+  [[nodiscard]] bool live(const Handle& h) const {
+    return tags_[h.seq_slot & kSlotMask] == h.seq_slot;
+  }
+
+  void insert_handle(SimTime t, EventId id) {
+    const Handle h{t, id};
     if (root_vacant_) {
       // First child of the running event: it takes the dispatched event's
       // place at the root.
       root_vacant_ = false;
       sift_down(0, h);
+      drop_cancelled_root();  // a cancelled child may have risen to it
       return;
     }
     heap_.emplace_back();  // hole; sift_up fills it
     sift_up(heap_.size() - 1, h);
   }
 
-  // Fills a vacant root with the last handle, as a plain pop would.
-  void close_root() {
-    root_vacant_ = false;
+  // Removes heap_[0], as a plain pop would.
+  void pop_root() {
     const Handle last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down(0, last);
+  }
+
+  // Restores the invariant that a non-vacant root is live.
+  void drop_cancelled_root() {
+    while (cancelled_ != 0 && !heap_.empty() && !live(heap_[0])) {
+      pop_root();
+      --cancelled_;
+    }
+  }
+
+  void close_root() {
+    root_vacant_ = false;
+    pop_root();
+    drop_cancelled_root();
   }
 
   // Finishes a dispatch, normally or on unwind: the queue is consistent
   // again and the callback's slot is free.
   void retire(std::uint32_t slot) {
     if (root_vacant_) close_root();
-    slot_ref(slot) = nullptr;
-    free_.push_back(slot);
+    release(slot);
+  }
+
+  // Earliest live time in the subtrees under heap_[i]. Heap order holds
+  // across cancelled handles, so only a cancelled child is looked through.
+  [[nodiscard]] SimTime earliest_below(std::size_t i) const {
+    SimTime t = kNever;
+    const std::size_t first = (i << 2) + 1;
+    const std::size_t end = std::min(first + 4, heap_.size());
+    for (std::size_t c = first; c < end; ++c) {
+      if (heap_[c].time >= t) continue;
+      t = cancelled_ == 0 || live(heap_[c]) ? heap_[c].time
+                                            : std::min(t, earliest_below(c));
+    }
+    return t;
   }
 
   void sift_up(std::size_t i, Handle h) {
@@ -215,9 +263,11 @@ class EventQueue {
 
   std::vector<Handle> heap_;  // 4-ary min-heap of handles
   std::vector<std::unique_ptr<Action[]>> chunks_;  // slab, by slot
+  std::vector<EventId> tags_;  // by slot: the pending event's id, or kNoEvent
   std::uint32_t slab_size_ = 0;       // slots handed out so far
   std::vector<std::uint32_t> free_;   // recycled slab slots
-  std::uint64_t next_seq_ = 0;
+  std::size_t cancelled_ = 0;         // cancelled handles still in heap_
+  std::uint64_t next_seq_ = 1;
   bool root_vacant_ = false;  // heap_[0] is the running event's stale handle
 };
 

@@ -25,34 +25,26 @@ class Simulator {
 
   // Schedules `action` at absolute simulated time `t` (>= now()).
   // Templated so a lambda argument is constructed directly in the event
-  // slab rather than moved through an intermediate Action.
+  // slab rather than moved through an intermediate Action. The returned
+  // id may be passed to cancel() and may be ignored.
   template <typename F>
-  void at(SimTime t, F&& action) {
+  EventId at(SimTime t, F&& action) {
     if (t < now_) {
       throw std::logic_error("Simulator::at: scheduling into the past");
     }
-    queue_.emplace(t, std::forward<F>(action));
+    return queue_.emplace(t, std::forward<F>(action));
   }
 
   // Schedules `action` `delay` ns from now (delay >= 0).
   template <typename F>
-  void after(SimTime delay, F&& action) {
-    at(now_ + delay, std::forward<F>(action));
+  EventId after(SimTime delay, F&& action) {
+    return at(now_ + delay, std::forward<F>(action));
   }
 
-  // Reserved-sequence scheduling (see EventQueue::reserve_seq): lets the
-  // timer wheel give a timer the tie-break rank of its arming instant even
-  // though the dispatching event is pushed later.
-  [[nodiscard]] std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
-
-  template <typename F>
-  void at_reserved(SimTime t, std::uint64_t seq, F&& action) {
-    if (t < now_) {
-      throw std::logic_error(
-          "Simulator::at_reserved: scheduling into the past");
-    }
-    queue_.emplace_reserved(t, seq, std::forward<F>(action));
-  }
+  // Destroys a scheduled event's closure now. A cancelled event never runs,
+  // never moves now() and is not counted by events_executed(). Returns
+  // false when the event already ran, is running or was cancelled.
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   // Runs until the event queue drains or stop() is called.
   // Returns the number of events executed.

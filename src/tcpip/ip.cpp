@@ -140,17 +140,12 @@ void IpLayer::handle_fragment(const Ipv4Header& header, net::Buffer payload,
   re.fragments.emplace(header.frag_offset, std::move(payload));
 
   // Arm/refresh the reassembly timeout.
-  const std::uint64_t generation = ++re.timer_generation;
-  node_->kernel().add_timer(config_.reassembly_timeout,
-                            [this, key, generation] {
-                              auto it = reassembly_.find(key);
-                              if (it == reassembly_.end()) return;
-                              if (it->second.timer_generation != generation) {
-                                return;
-                              }
-                              ++reassembly_timeouts_;
-                              reassembly_.erase(it);
-                            });
+  os::Kernel& kernel = node_->kernel();
+  kernel.cancel_timer(re.timeout);
+  re.timeout = kernel.add_timer(config_.reassembly_timeout, [this, key] {
+    ++reassembly_timeouts_;
+    reassembly_.erase(key);
+  });
 
   // Complete when the last fragment arrived (total_len known), fragment 0
   // arrived (it carries the L4 header, whose bytes count towards
@@ -166,6 +161,7 @@ void IpLayer::handle_fragment(const Ipv4Header& header, net::Buffer payload,
   for (auto& [o, b] : re.fragments) chain.append(std::move(b));
   auto l4 = re.l4;
   const std::uint8_t protocol = header.protocol;
+  kernel.cancel_timer(re.timeout);
   reassembly_.erase(key);
   deliver(protocol, src_node, std::move(l4), chain.flatten());
 }

@@ -79,7 +79,7 @@ class IpLayer : public os::ProtocolHandler {
     std::map<std::int64_t, net::Buffer> fragments;  // offset -> data
     net::HeaderBlob l4;
     std::int64_t total_len = -1;  // unknown until the last fragment
-    std::uint64_t timer_generation = 0;
+    os::Kernel::TimerId timeout = os::Kernel::kInvalidTimer;
   };
 
   void handle_fragment(const Ipv4Header& header, net::Buffer payload,

@@ -155,9 +155,9 @@ class TcpSocket {
   bool fin_pending_ = false;
   bool fin_sent_ = false;
   std::deque<SendRequest> send_requests_;
-  // Retransmit / probe timers are cancellable kernel (wheel) timers: ack
-  // progress cancels them outright instead of bumping a generation counter
-  // and stranding the superseded closure in the event heap.
+  // Retransmit / probe timers are cancellable kernel timers: ack progress
+  // cancels them outright instead of bumping a generation counter and
+  // stranding the superseded closure in the event heap.
   os::Kernel::TimerId rto_timer_ = os::Kernel::kInvalidTimer;
   int rto_backoff_ = 0;
   os::Kernel::TimerId probe_timer_ = os::Kernel::kInvalidTimer;

@@ -102,6 +102,23 @@ TEST(ClicModule, ConfirmedSendCompletesAfterPeerAck) {
   EXPECT_GT(confirmed_done, t_sync + sim::microseconds(10));
 }
 
+// The run ends on the last model event. Superseded retransmit and
+// delayed-ack timers are cancelled and do not hold the clock open.
+TEST(ClicModule, ConfirmedSendRunEndsOnItsLastEvent) {
+  ClicBed bed;
+  bed.module(0).bind_port(5);
+  bed.module(1).bind_port(5);
+  bool sent = false;
+  clic::Message got;
+  send_one(bed.module(0), 5, 1, net::Buffer::pattern(1000, 9),
+           clic::SendMode::kConfirmed, &sent);
+  recv_one(bed.module(1), 5, &got);
+  bed.run();
+  EXPECT_TRUE(sent);
+  EXPECT_EQ(got.data.size(), 1000);
+  EXPECT_LT(bed.now(), sim::milliseconds(1.0));
+}
+
 TEST(ClicModule, AsyncSendReturnsBeforeDelivery) {
   ClicBed bed;
   bed.module(0).bind_port(5);

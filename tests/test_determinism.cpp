@@ -1,5 +1,5 @@
 // Determinism regression: the rebuilt engine (slab event heap,
-// InlineFunction closures, timer wheel) must execute the same seeded
+// InlineFunction closures, cancellable timers) must execute the same seeded
 // scenario in a bit-identical (time, seq) order every run. Each trial
 // rebuilds its cluster from scratch and is fingerprinted by event count,
 // final clock and a checksum over protocol/NIC statistics; fingerprints
@@ -36,7 +36,8 @@ void mix(std::uint64_t* h, std::uint64_t v) {
 // One fig5-style trial: a seeded lossy 2-node CLIC cluster ping-ponging a
 // sweep of message sizes over the reliable channel. Loss forces RTO arms;
 // every ack cancels and re-arms them; delayed-ack timers are cancelled by
-// piggybacking — exactly the timer churn the wheel must keep deterministic.
+// piggybacking — exactly the timer churn cancellation must keep
+// deterministic.
 Fingerprint clic_trial(bool churn_kernel_timers, int shards = 1) {
   os::ClusterConfig cc;
   cc.shards = shards;
@@ -52,7 +53,7 @@ Fingerprint clic_trial(bool churn_kernel_timers, int shards = 1) {
   bed.module(1).bind_port(1);
 
   if (churn_kernel_timers) {
-    // Extra wheel traffic that never fires: timers armed and then either
+    // Extra timer traffic that never fires: timers armed and then either
     // cancelled or rescheduled (cancel + re-arm) before their deadline.
     for (int node = 0; node < 2; ++node) {
       os::Kernel& k = bed.cluster.node(node).kernel();
@@ -112,7 +113,7 @@ Fingerprint clic_trial(bool churn_kernel_timers, int shards = 1) {
   return {bed.events_executed(), bed.now(), h};
 }
 
-// A lossless TCP transfer: delayed-ack and RTO timers on the wheel, socket
+// A lossless TCP transfer: delayed-ack and RTO timers, socket
 // coroutines, the full two-copy path.
 Fingerprint tcp_trial(int shards = 1) {
   os::ClusterConfig cc;

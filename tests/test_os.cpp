@@ -7,6 +7,7 @@
 #include "os/driver.hpp"
 #include "os/kernel.hpp"
 #include "os/node.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/task.hpp"
 
 namespace clicsim::os {
@@ -39,6 +40,39 @@ TEST(Kernel, TimersFireAndCancel) {
   rig.node.kernel().cancel_timer(id);
   rig.sim.run();
   EXPECT_EQ(fired, 1);
+}
+
+// A cancelled timer leaves nothing behind: the run ends on the event that
+// cancelled it, and only that event is counted.
+TEST(Kernel, CancelledTimerNeverMovesTheClock) {
+  NodeRig rig;
+  Kernel& k = rig.node.kernel();
+  const Kernel::TimerId id = k.add_timer(100, [] { ADD_FAILURE(); });
+  rig.sim.at(10, [&] { k.cancel_timer(id); });
+  rig.sim.run();
+  EXPECT_EQ(rig.sim.now(), 10);
+  EXPECT_EQ(rig.sim.events_executed(), 1u);
+  EXPECT_EQ(k.timer_wheel().cancelled(), 1u);
+  EXPECT_EQ(k.timer_wheel().size(), 0u);
+}
+
+// Arming stores the caller's closure inline in the event slab: no timer,
+// fired or cancelled, costs a heap allocation.
+TEST(Kernel, TimersArmAndCancelWithoutHeapAllocation) {
+  NodeRig rig;
+  Kernel& k = rig.node.kernel();
+  std::int64_t sum = 0;
+  const std::uint64_t before = sim::inline_function_heap_allocs();
+  for (int i = 0; i < 10000; ++i) {
+    const Kernel::TimerId id = k.add_timer(1000 + i, [&sum, i] { sum += i; });
+    if (i % 4 != 0) k.cancel_timer(id);
+  }
+  rig.sim.run();
+  EXPECT_EQ(sim::inline_function_heap_allocs(), before);
+  EXPECT_EQ(k.timer_wheel().cancelled(), 7500u);
+  EXPECT_EQ(k.timer_wheel().fired(), 2500u);
+  EXPECT_EQ(sum, 4 * (2499 * 2500 / 2));  // the multiples of 4 fired
+  EXPECT_EQ(rig.sim.events_executed(), 2500u);
 }
 
 TEST(Kernel, SyscallChargesKernelEntry) {

@@ -16,7 +16,6 @@
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace clicsim::sim {
 namespace {
@@ -221,31 +220,28 @@ TEST(Simulator, ThrowingCallbackLeavesQueueConsistent) {
 
 // Seeded reference-model check of dispatch order. Every callback schedules
 // 0-3 children mixing zero delays, dense same-instant ties, near and
-// far-future times, and (on odd seeds) TimerWheel timers, some of which are
-// cancelled before they fire. A std::set of (time, seq) keys is the
-// reference: each event that runs must be its minimum. Even seeds use no
-// wheel, so pending() and next_event_time() read from inside a callback can
-// be compared exactly. With a wheel, anchor events may sit ahead of the
-// earliest timer, so they only bound it, and only from plain events: a
-// timer's callback runs before the wheel arms its next anchor.
+// far-future times, and a quarter of callbacks cancel a random earlier
+// event, which may be pending, already run or the running one. A std::set
+// of (time, seq) keys of the live events is the reference: each event that
+// runs must be its minimum, cancel() must succeed exactly for the events
+// still in it, and pending() and next_event_time() read from inside a
+// callback, before and after a cancel, must match it exactly.
 struct DispatchModel {
   using Key = std::pair<SimTime, std::uint64_t>;
 
   Simulator sim;
-  TimerWheel wheel{sim};
   Rng rng;
-  bool use_wheel;
   int budget;
   std::set<Key> expected;  // the reference model
   std::uint64_t next_seq = 0;
-  std::vector<std::pair<Key, TimerWheel::TimerId>> armed;
+  std::vector<std::pair<Key, EventId>> armed;  // cancellation candidates
   std::uint64_t executed = 0;
   std::uint64_t cancelled = 0;
   int order_errors = 0;
   int state_errors = 0;
 
   DispatchModel(std::uint64_t seed, int events)
-      : rng(seed, "dispatch"), use_wheel(seed % 2 == 1), budget(events) {}
+      : rng(seed, "dispatch"), budget(events) {}
 
   SimTime pick_delay() {
     switch (rng.uniform_int(0, 4)) {
@@ -260,38 +256,33 @@ struct DispatchModel {
   void schedule() {
     const Key key{sim.now() + pick_delay(), next_seq++};
     expected.insert(key);
-    if (use_wheel && rng.bernoulli(0.3)) {
-      armed.emplace_back(key, wheel.schedule_at(
-                                  key.first, [this, key] { fire(key, true); }));
-    } else {
-      sim.at(key.first, [this, key] { fire(key, false); });
-    }
+    const EventId id = sim.at(key.first, [this, key] { fire(key); });
+    if (rng.bernoulli(0.3)) armed.emplace_back(key, id);
   }
 
-  void fire(Key key, bool from_timer) {
+  void check_state() {
+    const SimTime model_next =
+        expected.empty() ? kNever : expected.begin()->first;
+    if (sim.pending() != !expected.empty()) ++state_errors;
+    if (sim.next_event_time() != model_next) ++state_errors;
+  }
+
+  void fire(Key key) {
     ++executed;
     if (expected.empty() || *expected.begin() != key) {
       ++order_errors;
     }
     expected.erase(key);
-    const SimTime model_next =
-        expected.empty() ? kNever : expected.begin()->first;
-    if (!use_wheel) {
-      if (sim.pending() != !expected.empty()) ++state_errors;
-      if (sim.next_event_time() != model_next) ++state_errors;
-    } else if (!from_timer && !expected.empty()) {
-      if (!sim.pending()) ++state_errors;
-      if (sim.next_event_time() > model_next) ++state_errors;
-    }
-    if (use_wheel && !armed.empty() && rng.bernoulli(0.25)) {
+    check_state();
+    if (!armed.empty() && rng.bernoulli(0.25)) {
       const auto i = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(armed.size()) - 1));
-      if (wheel.cancel(armed[i].second)) {
-        expected.erase(armed[i].first);
-        ++cancelled;
-      }
+      const bool live = expected.erase(armed[i].first) == 1;
+      if (sim.cancel(armed[i].second) != live) ++state_errors;
+      if (live) ++cancelled;
       armed[i] = armed.back();
       armed.pop_back();
+      check_state();
     }
     const auto kids = budget > 0 ? rng.uniform_int(0, 3) : 0;
     for (std::int64_t k = 0; k < kids; ++k, --budget) schedule();
@@ -308,12 +299,65 @@ TEST(Simulator, DispatchOrderMatchesReferenceModel) {
     EXPECT_EQ(m.state_errors, 0);
     EXPECT_TRUE(m.expected.empty());
     EXPECT_EQ(m.executed + m.cancelled, m.next_seq);
+    EXPECT_EQ(m.sim.events_executed(), m.executed);
     EXPECT_GT(m.executed, 5000u);
-    if (m.use_wheel) {
-      EXPECT_GT(m.cancelled, 0u);
-      EXPECT_GT(m.wheel.fired(), 0u);
-    }
+    EXPECT_GT(m.cancelled, 100u);
   }
+}
+
+TEST(Simulator, CancelFailsForRunningAndFinishedEvents) {
+  Simulator sim;
+  EventId self = kNoEvent;
+  bool inside = false;
+  self = sim.at(5, [&] { inside = sim.cancel(self); });
+  const EventId done = sim.at(1, [] {});
+  sim.run();
+  EXPECT_FALSE(inside) << "a running event cancelled itself";
+  EXPECT_FALSE(sim.cancel(self));
+  EXPECT_FALSE(sim.cancel(done));
+  EXPECT_FALSE(sim.cancel(kNoEvent));
+  EXPECT_EQ(sim.events_executed(), 2u);
+  // A finished event's slot is reused; its id must not cancel the new one.
+  bool ran = false;
+  sim.after(1, [&] { ran = true; });
+  EXPECT_FALSE(sim.cancel(self));
+  EXPECT_FALSE(sim.cancel(done));
+  sim.run();
+  EXPECT_TRUE(ran);
+}
+
+TEST(Simulator, NextEventTimeNeverReportsACancelledEvent) {
+  Simulator sim;
+  std::vector<EventId> early;
+  for (SimTime t = 10; t <= 50; t += 10) {
+    early.push_back(sim.at(t, [] { ADD_FAILURE(); }));
+  }
+  sim.at(100, [] {});
+  for (const EventId id : early) EXPECT_TRUE(sim.cancel(id));
+  EXPECT_EQ(sim.next_event_time(), 100);
+  EXPECT_FALSE(sim.cancel(early.front()));  // already cancelled
+
+  // From inside a callback: a cancelled child of the vacant root, then a
+  // cancelled event that has just refilled the root.
+  std::vector<SimTime> seen;
+  const EventId soon = sim.at(155, [] { ADD_FAILURE(); });
+  sim.at(170, [] {});
+  sim.at(150, [&] {
+    EXPECT_TRUE(sim.cancel(soon));
+    seen.push_back(sim.next_event_time());
+    const EventId later = sim.at(160, [] { ADD_FAILURE(); });
+    seen.push_back(sim.next_event_time());
+    EXPECT_TRUE(sim.cancel(later));
+    seen.push_back(sim.next_event_time());
+  });
+  // Between dispatches.
+  EXPECT_EQ(sim.run_until(120), 1u);
+  seen.push_back(sim.next_event_time());
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<SimTime>{150, 170, 160, 170}));
+  EXPECT_EQ(sim.now(), 170);
+  EXPECT_EQ(sim.events_executed(), 3u);
+  EXPECT_FALSE(sim.pending());
 }
 
 // --- Coroutines --------------------------------------------------------------------

@@ -1,39 +1,42 @@
-// Unit tests for sim::TimerWheel — cancellable hierarchical timers with
-// seed-identical determinism: exact deadlines across cascade levels, O(1)
-// cancel that destroys the closure, FIFO tie-break among same-tick timers,
-// correct interleaving with plain simulator events, and a randomized
-// differential check against a naive reference.
+// Unit tests for kernel timers: sim::Timers, the counted cancellable
+// events behind os::Kernel::timer_wheel(). Exact deadlines out to far-future
+// delays, cancel that destroys the closure, FIFO tie-break among same-tick
+// timers, correct interleaving with plain simulator events, and a
+// randomized differential check against a naive reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "sim/timer_wheel.hpp"
+#include "sim/timers.hpp"
 
 namespace clicsim::sim {
 namespace {
 
 TEST(TimerWheel, FiresAtExactDeadline) {
   Simulator sim;
-  TimerWheel wheel(sim);
+  Timers timers(sim);
   SimTime fired_at = -1;
-  wheel.schedule(1234, [&] { fired_at = sim.now(); });
+  timers.schedule(1234, [&] { fired_at = sim.now(); });
   sim.run();
   EXPECT_EQ(fired_at, 1234);
-  EXPECT_EQ(wheel.fired(), 1u);
-  EXPECT_EQ(wheel.size(), 0u);
+  EXPECT_EQ(timers.fired(), 1u);
+  EXPECT_EQ(timers.size(), 0u);
+  // A deadline in the past is refused and leaves nothing pending.
+  EXPECT_THROW(timers.schedule(-1, [] {}), std::logic_error);
+  EXPECT_EQ(timers.size(), 0u);
 }
 
 TEST(TimerWheel, FiresAcrossEveryLevelBoundary) {
-  // Delays straddling successive 64^k windows exercise cascading from each
-  // level back down to level 0.
+  // Delays from 1 ns out to ~69 s: far-future deadlines fire exactly.
   Simulator sim;
-  TimerWheel wheel(sim);
+  Timers timers(sim);
   std::vector<std::pair<SimTime, SimTime>> observed;  // {want, got}
   observed.reserve(16);  // callbacks keep pointers into the vector
   for (const SimTime delay :
@@ -42,62 +45,63 @@ TEST(TimerWheel, FiresAcrossEveryLevelBoundary) {
         SimTime{1073741824}, SimTime{68719476736}}) {
     observed.emplace_back(delay, -1);
     auto* slot = &observed.back();
-    wheel.schedule(delay, [&sim, slot] { slot->second = sim.now(); });
+    timers.schedule(delay, [&sim, slot] { slot->second = sim.now(); });
   }
   sim.run();
   for (const auto& [want, got] : observed) EXPECT_EQ(got, want);
-  EXPECT_EQ(wheel.fired(), observed.size());
+  EXPECT_EQ(timers.fired(), observed.size());
 }
 
 TEST(TimerWheel, CancelPreventsFiringAndDestroysClosure) {
   Simulator sim;
-  TimerWheel wheel(sim);
+  Timers timers(sim);
   auto token = std::make_shared<int>(1);
   std::weak_ptr<int> watch = token;
   bool fired = false;
-  const auto id = wheel.schedule(1000, [&fired, token = std::move(token)] {
+  const auto id = timers.schedule(1000, [&fired, token = std::move(token)] {
     fired = true;
   });
-  EXPECT_TRUE(wheel.pending(id));
-  EXPECT_TRUE(wheel.cancel(id));
+  EXPECT_EQ(timers.size(), 1u);
+  EXPECT_TRUE(timers.cancel(id));
   // The closure (and its captures) die at cancel time, not at the deadline.
   EXPECT_TRUE(watch.expired());
-  EXPECT_FALSE(wheel.pending(id));
-  EXPECT_FALSE(wheel.cancel(id));  // double-cancel reports failure
+  EXPECT_EQ(timers.size(), 0u);
+  EXPECT_FALSE(timers.cancel(id));  // double-cancel reports failure
   sim.run();
   EXPECT_FALSE(fired);
-  EXPECT_EQ(wheel.fired(), 0u);
-  EXPECT_EQ(wheel.cancelled(), 1u);
+  EXPECT_EQ(timers.fired(), 0u);
+  EXPECT_EQ(timers.cancelled(), 1u);
 }
 
 TEST(TimerWheel, CancelAfterFireReturnsFalse) {
   Simulator sim;
-  TimerWheel wheel(sim);
-  const auto id = wheel.schedule(10, [] {});
+  Timers timers(sim);
+  const auto id = timers.schedule(10, [] {});
   sim.run();
-  EXPECT_FALSE(wheel.pending(id));
-  EXPECT_FALSE(wheel.cancel(id));
+  EXPECT_FALSE(timers.cancel(id));
+  EXPECT_EQ(timers.fired(), 1u);
+  EXPECT_EQ(timers.cancelled(), 0u);
 }
 
 TEST(TimerWheel, RescheduleAfterCancelUsesNewDeadline) {
   Simulator sim;
-  TimerWheel wheel(sim);
+  Timers timers(sim);
   SimTime fired_at = -1;
-  const auto id = wheel.schedule(500, [&] { fired_at = sim.now(); });
-  EXPECT_TRUE(wheel.cancel(id));
-  wheel.schedule(900, [&] { fired_at = sim.now(); });
+  const auto id = timers.schedule(500, [&] { fired_at = sim.now(); });
+  EXPECT_TRUE(timers.cancel(id));
+  timers.schedule(900, [&] { fired_at = sim.now(); });
   sim.run();
   EXPECT_EQ(fired_at, 900);
-  EXPECT_EQ(wheel.fired(), 1u);
-  EXPECT_EQ(wheel.cancelled(), 1u);
+  EXPECT_EQ(timers.fired(), 1u);
+  EXPECT_EQ(timers.cancelled(), 1u);
 }
 
 TEST(TimerWheel, SameTickTimersFireInArmOrder) {
   Simulator sim;
-  TimerWheel wheel(sim);
+  Timers timers(sim);
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
-    wheel.schedule(777, [&order, i] { order.push_back(i); });
+    timers.schedule(777, [&order, i] { order.push_back(i); });
   }
   sim.run();
   ASSERT_EQ(order.size(), 8u);
@@ -105,14 +109,14 @@ TEST(TimerWheel, SameTickTimersFireInArmOrder) {
 }
 
 TEST(TimerWheel, SameTickInterleavesWithPlainEventsByArmOrder) {
-  // The determinism contract: a wheel timer ranks among same-instant plain
-  // events exactly as if it had been Simulator::at-scheduled when armed.
+  // A timer takes its sequence when armed, so it ranks among same-instant
+  // plain events by arming order.
   Simulator sim;
-  TimerWheel wheel(sim);
+  Timers timers(sim);
   std::vector<int> order;
-  wheel.schedule(100, [&] { order.push_back(0); });
+  timers.schedule(100, [&] { order.push_back(0); });
   sim.at(100, [&] { order.push_back(1); });
-  wheel.schedule(100, [&] { order.push_back(2); });
+  timers.schedule(100, [&] { order.push_back(2); });
   sim.at(100, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -120,33 +124,33 @@ TEST(TimerWheel, SameTickInterleavesWithPlainEventsByArmOrder) {
 
 TEST(TimerWheel, CancelledHeadStillRunsFollowersInOrder) {
   Simulator sim;
-  TimerWheel wheel(sim);
+  Timers timers(sim);
   std::vector<int> order;
-  const auto head = wheel.schedule(50, [&] { order.push_back(0); });
-  wheel.schedule(50, [&] { order.push_back(1); });
+  const auto head = timers.schedule(50, [&] { order.push_back(0); });
+  timers.schedule(50, [&] { order.push_back(1); });
   sim.at(50, [&] { order.push_back(2); });
-  wheel.schedule(50, [&] { order.push_back(3); });
-  EXPECT_TRUE(wheel.cancel(head));
+  timers.schedule(50, [&] { order.push_back(3); });
+  EXPECT_TRUE(timers.cancel(head));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(TimerWheel, CallbackMayArmAndCancelTimers) {
   Simulator sim;
-  TimerWheel wheel(sim);
+  Timers timers(sim);
   std::vector<SimTime> fires;
-  TimerWheel::TimerId victim = TimerWheel::kInvalidTimer;
-  wheel.schedule(10, [&] {
+  EventId victim = kNoEvent;
+  timers.schedule(10, [&] {
     fires.push_back(sim.now());
-    victim = wheel.schedule(100, [&] { fires.push_back(sim.now()); });
-    wheel.schedule(20, [&] {
+    victim = timers.schedule(100, [&] { fires.push_back(sim.now()); });
+    timers.schedule(20, [&] {
       fires.push_back(sim.now());
-      EXPECT_TRUE(wheel.cancel(victim));
+      EXPECT_TRUE(timers.cancel(victim));
     });
   });
   sim.run();
   EXPECT_EQ(fires, (std::vector<SimTime>{10, 30}));
-  EXPECT_EQ(wheel.size(), 0u);
+  EXPECT_EQ(timers.size(), 0u);
 }
 
 // Differential check: random arms/cancels from inside the simulation must
@@ -154,7 +158,7 @@ TEST(TimerWheel, CallbackMayArmAndCancelTimers) {
 // produces — i.e. sorted by (deadline, arm sequence), cancelled ones gone.
 TEST(TimerWheel, RandomizedDifferentialAgainstReference) {
   Simulator sim;
-  TimerWheel wheel(sim);
+  Timers timers(sim);
   std::mt19937_64 rng(0xC11Cu);
 
   struct Ref {
@@ -164,12 +168,12 @@ TEST(TimerWheel, RandomizedDifferentialAgainstReference) {
   };
   std::vector<Ref> reference;
   std::vector<int> fired_tags;
-  std::vector<std::pair<TimerWheel::TimerId, int>> live;
+  std::vector<std::pair<EventId, int>> live;
   std::uint64_t arm_counter = 0;
   int next_tag = 0;
 
   // Driver events at randomized times arm and cancel timers while the
-  // wheel is running, mixing short, line-crossing and cascade-level delays.
+  // simulation runs, mixing short and long delays.
   for (int burst = 0; burst < 40; ++burst) {
     const SimTime when = burst * 137;
     sim.at(when, [&, when] {
@@ -180,7 +184,7 @@ TEST(TimerWheel, RandomizedDifferentialAgainstReference) {
         const int tag = next_tag++;
         reference.push_back(Ref{arm_counter++, when + delay, tag});
         live.emplace_back(
-            wheel.schedule(delay, [&fired_tags, tag] {
+            timers.schedule(delay, [&fired_tags, tag] {
               fired_tags.push_back(tag);
             }),
             tag);
@@ -188,7 +192,7 @@ TEST(TimerWheel, RandomizedDifferentialAgainstReference) {
       // Cancel a random surviving timer about half the time.
       if (!live.empty() && rng() % 2 == 0) {
         const std::size_t pick = rng() % live.size();
-        if (wheel.cancel(live[pick].first)) {
+        if (timers.cancel(live[pick].first)) {
           const int tag = live[pick].second;
           std::erase_if(reference, [tag](const Ref& r) { return r.tag == tag; });
         }
@@ -206,8 +210,8 @@ TEST(TimerWheel, RandomizedDifferentialAgainstReference) {
   want.reserve(reference.size());
   for (const Ref& r : reference) want.push_back(r.tag);
   EXPECT_EQ(fired_tags, want);
-  EXPECT_EQ(wheel.size(), 0u);
-  EXPECT_EQ(wheel.fired(), want.size());
+  EXPECT_EQ(timers.size(), 0u);
+  EXPECT_EQ(timers.fired(), want.size());
 }
 
 }  // namespace
