@@ -31,18 +31,16 @@ struct MessageState {
   bool corrupt = false;  // a delivery whose payload did not match
 };
 
-void configure_link_faults(os::Cluster& cluster, const ChaosOptions& o) {
+void configure_link_faults(os::Cluster& cluster, std::uint64_t seed) {
   int stream = 0;
   auto arm = [&](net::FaultInjector& f) {
     // One independent stream per link direction, all derived from the
     // campaign seed so the whole storm replays from one integer.
-    f.set_seed(o.seed * 1000003u + static_cast<std::uint64_t>(stream++));
-    if (o.gilbert_elliott) {
-      f.set_gilbert_elliott(kGeGoodToBad, kGeBadToGood, kGeLossGood,
-                            kGeLossBad);
-    }
-    if (o.duplicates) f.set_duplicate_probability(kDupProbability);
-    if (o.reorder) f.set_delay(kDelayProbability, kDelayJitter);
+    f.set_seed(seed * 1000003u + static_cast<std::uint64_t>(stream++));
+    f.set_gilbert_elliott(kGeGoodToBad, kGeBadToGood, kGeLossGood,
+                          kGeLossBad);
+    f.set_duplicate_probability(kDupProbability);
+    f.set_delay(kDelayProbability, kDelayJitter);
   };
   for (int i = 0; i < cluster.size(); ++i) {
     for (int j = 0; j < cluster.config().nics_per_node; ++j) {
@@ -101,9 +99,11 @@ void schedule_clear_link_faults(sim::FaultPlan& plan, os::Cluster& cluster,
   plan.script_parts(when, std::move(parts));
 }
 
-// The hard partition: longer than the CLIC channel's full retry budget
-// (~1.4 s at the default rto/backoff/cap/max_retries), still healing well
-// inside the default fault window.
+// The hard partition: one seed-chosen node loses its carrier for longer
+// than the CLIC channel's full retry budget (~1.4 s at the default
+// rto/backoff/cap/max_retries), still healing well inside the default
+// fault window. Sends in flight to or from it must fail *cleanly* (bounded
+// failure), and the peer must resynchronize when it comes back.
 constexpr sim::SimTime kPartitionStart = sim::milliseconds(200.0);
 constexpr sim::SimTime kPartitionEnd = sim::milliseconds(2400.0);
 
@@ -120,12 +120,61 @@ void schedule_hard_partition(sim::FaultPlan& plan, os::Cluster& cluster,
   }
 }
 
+// The whole storm of one campaign: every flappable element as a target,
+// the links' misbehaviour and its clear at the window's close, the hard
+// partition, and the seeded random outages.
+void arm_fault_plan(sim::FaultPlan& plan, os::Cluster& cluster,
+                    const ChaosOptions& o) {
+  register_cluster_targets(plan, cluster);
+  configure_link_faults(cluster, o.seed);
+  schedule_clear_link_faults(plan, cluster, o.fault_window);
+  schedule_hard_partition(plan, cluster, o.seed);
+
+  sim::FaultPlan::Campaign campaign;
+  campaign.start = sim::milliseconds(1.0);
+  campaign.end = o.fault_window;
+  campaign.outages = o.outages;
+  plan.randomize(campaign);
+}
+
 // Destination for message m: round-robin source, hopping offset so every
 // ordered pair eventually appears.
 int chaos_src(int m, int nodes) { return m % nodes; }
 int chaos_dst(int m, int nodes) {
   const int offset = 1 + (m / nodes) % (std::max(nodes - 1, 1));
   return (chaos_src(m, nodes) + offset) % nodes;
+}
+
+// One seeded pattern per message, so a receiver can check the content.
+std::vector<net::Buffer> chaos_payloads(const ChaosOptions& o) {
+  std::vector<net::Buffer> payloads;
+  payloads.reserve(static_cast<std::size_t>(o.messages));
+  for (int m = 0; m < o.messages; ++m) {
+    payloads.push_back(net::Buffer::pattern(
+        o.bytes, o.seed ^ (static_cast<std::uint64_t>(m) * 0x9e3779b9u)));
+  }
+  return payloads;
+}
+
+// Launch time of message m. Three of four messages stagger across the
+// fault window — some hit a healthy cluster, some start mid-outage, some
+// straddle a heal. Every fourth goes out after the window closes and
+// revisits the channels and peers the storm broke: they must recover
+// (CLIC channels that gave up resynchronize with kReset) and deliver.
+sim::SimTime chaos_start(int m, const ChaosOptions& o) {
+  const bool late = m >= (3 * o.messages) / 4;
+  return late ? o.fault_window +
+                    sim::milliseconds(10.0) * static_cast<sim::SimTime>(1 + m)
+              : (o.fault_window * static_cast<sim::SimTime>(m)) /
+                    static_cast<sim::SimTime>(std::max(2 * o.messages, 1));
+}
+
+os::ClusterConfig chaos_cluster(const ChaosOptions& o) {
+  os::ClusterConfig cc;
+  cc.nodes = o.nodes;
+  cc.shards = o.shards;
+  cc.topology = o.topology;
+  return cc;
 }
 
 void collect_fault_telemetry(ChaosReport& r, os::Cluster& cluster) {
@@ -177,45 +226,36 @@ void finalize_invariants(ChaosReport& r,
   }
 }
 
-ChaosReport run_clic(const ChaosOptions& o) {
-  ChaosReport r;
-  r.stack = ChaosStack::kClic;
-  r.seed = o.seed;
-  r.messages = o.messages;
+// The stack-independent part of the report, read once the run has ended.
+void finish_report(ChaosReport& r, const std::vector<MessageState>& states,
+                   const sim::FaultPlan& plan, BedCore& bed) {
+  finalize_invariants(r, states);
+  r.quiesced = !bed.pending();
+  r.timers_clean = timers_clean(bed.cluster);
+  r.outages_scheduled = plan.outages_scheduled();
+  r.fault_events = plan.faults_fired();
+  r.finished_at = bed.now();
+  collect_fault_telemetry(r, bed.cluster);
+}
 
-  os::ClusterConfig cc;
-  cc.nodes = o.nodes;
-  cc.shards = o.shards;
-  cc.topology = o.topology;
+ChaosReport run_clic(const ChaosOptions& o) {
   clic::Config clc;
   clc.seed = o.seed;
   // Desynchronize retransmission across channels that black-hole together;
   // jitter is off by default to keep the figure baselines bit-identical.
   clc.rto_jitter = 0.25;
   clc.adaptive = o.adaptive;
-  ClicBed bed(cc, clc);
+  ClicBed bed(chaos_cluster(o), clc);
 
   sim::FaultPlan plan(bed.sim, o.seed);
-  register_cluster_targets(plan, bed.cluster);
-  configure_link_faults(bed.cluster, o);
-  schedule_clear_link_faults(plan, bed.cluster, o.fault_window);
-  if (o.hard_partition) schedule_hard_partition(plan, bed.cluster, o.seed);
-
-  sim::FaultPlan::Campaign campaign;
-  campaign.start = sim::milliseconds(1.0);
-  campaign.end = o.fault_window;
-  campaign.outages = o.outages;
-  plan.randomize(campaign);
+  arm_fault_plan(plan, bed.cluster, o);
 
   // One CLIC port per message keeps delivery accounting per-message: a
   // second arrival on a port whose receiver already completed is a
   // duplicate and shows up through poll().
   std::vector<MessageState> states(static_cast<std::size_t>(o.messages));
-  std::vector<net::Buffer> payloads;
-  payloads.reserve(states.size());
+  const std::vector<net::Buffer> payloads = chaos_payloads(o);
   for (int m = 0; m < o.messages; ++m) {
-    payloads.push_back(net::Buffer::pattern(
-        o.bytes, o.seed ^ (static_cast<std::uint64_t>(m) * 0x9e3779b9u)));
     bed.module(chaos_dst(m, o.nodes)).bind_port(10 + m);
     bed.module(chaos_src(m, o.nodes)).bind_port(10 + m);
   }
@@ -241,17 +281,7 @@ ChaosReport run_clic(const ChaosOptions& o) {
   };
 
   for (int m = 0; m < o.messages; ++m) {
-    // Three of four messages stagger across the fault window — some hit a
-    // healthy cluster, some start mid-outage, some straddle a heal. Every
-    // fourth goes out after the window closes, revisiting channels that
-    // gave up during the storm: those must resynchronize (kReset) and
-    // deliver.
-    const bool late = m >= (3 * o.messages) / 4;
-    const sim::SimTime start =
-        late ? o.fault_window + sim::milliseconds(10.0) *
-                                    static_cast<sim::SimTime>(1 + m)
-             : (o.fault_window * static_cast<sim::SimTime>(m)) /
-                   static_cast<sim::SimTime>(std::max(2 * o.messages, 1));
+    const sim::SimTime start = chaos_start(m, o);
     MessageState* st = &states[static_cast<std::size_t>(m)];
     // Each capture gets its own detached payload copy (made here, on the
     // controlling thread): the tx copy travels to the source shard, the rx
@@ -278,13 +308,10 @@ ChaosReport run_clic(const ChaosOptions& o) {
     }
   }
 
-  finalize_invariants(r, states);
-  r.quiesced = !bed.pending();
-  r.timers_clean = timers_clean(bed.cluster);
-  r.outages_scheduled = plan.outages_scheduled();
-  r.fault_events = plan.faults_fired();
-  r.finished_at = bed.now();
-  collect_fault_telemetry(r, bed.cluster);
+  ChaosReport r{.stack = ChaosStack::kClic,
+                .seed = o.seed,
+                .messages = o.messages};
+  finish_report(r, states, plan, bed);
   for (int i = 0; i < bed.cluster.size(); ++i) {
     for (int peer = 0; peer < bed.cluster.size(); ++peer) {
       const clic::Channel* ch = bed.module(i).channel_to(peer);
@@ -320,35 +347,14 @@ ChaosReport run_clic(const ChaosOptions& o) {
 }
 
 ChaosReport run_tcp(const ChaosOptions& o) {
-  ChaosReport r;
-  r.stack = ChaosStack::kTcp;
-  r.seed = o.seed;
-  r.messages = o.messages;
-
-  os::ClusterConfig cc;
-  cc.nodes = o.nodes;
-  cc.shards = o.shards;
-  cc.topology = o.topology;
-  TcpBed bed(cc);
+  TcpBed bed(chaos_cluster(o));
 
   sim::FaultPlan plan(bed.sim, o.seed);
-  register_cluster_targets(plan, bed.cluster);
-  configure_link_faults(bed.cluster, o);
-  schedule_clear_link_faults(plan, bed.cluster, o.fault_window);
-  if (o.hard_partition) schedule_hard_partition(plan, bed.cluster, o.seed);
-
-  sim::FaultPlan::Campaign campaign;
-  campaign.start = sim::milliseconds(1.0);
-  campaign.end = o.fault_window;
-  campaign.outages = o.outages;
-  plan.randomize(campaign);
+  arm_fault_plan(plan, bed.cluster, o);
 
   std::vector<MessageState> states(static_cast<std::size_t>(o.messages));
-  std::vector<net::Buffer> payloads;
-  payloads.reserve(states.size());
+  const std::vector<net::Buffer> payloads = chaos_payloads(o);
   for (int m = 0; m < o.messages; ++m) {
-    payloads.push_back(net::Buffer::pattern(
-        o.bytes, o.seed ^ (static_cast<std::uint64_t>(m) * 0x9e3779b9u)));
     bed.tcp[static_cast<std::size_t>(chaos_dst(m, o.nodes))]->listen(5000 +
                                                                      m);
   }
@@ -379,14 +385,7 @@ ChaosReport run_tcp(const ChaosOptions& o) {
   };
 
   for (int m = 0; m < o.messages; ++m) {
-    // Same wave shape as the CLIC run: a quarter of the streams open
-    // against the freshly healed cluster.
-    const bool late = m >= (3 * o.messages) / 4;
-    const sim::SimTime start =
-        late ? o.fault_window + sim::milliseconds(10.0) *
-                                    static_cast<sim::SimTime>(1 + m)
-             : (o.fault_window * static_cast<sim::SimTime>(m)) /
-                   static_cast<sim::SimTime>(std::max(2 * o.messages, 1));
+    const sim::SimTime start = chaos_start(m, o);
     MessageState* st = &states[static_cast<std::size_t>(m)];
     // Detached copies per capture, as in the CLIC run.
     bed.sim_of(chaos_src(m, o.nodes))
@@ -402,13 +401,10 @@ ChaosReport run_tcp(const ChaosOptions& o) {
 
   bed.run_until(o.deadline);
 
-  finalize_invariants(r, states);
-  r.quiesced = !bed.pending();
-  r.timers_clean = timers_clean(bed.cluster);
-  r.outages_scheduled = plan.outages_scheduled();
-  r.fault_events = plan.faults_fired();
-  r.finished_at = bed.now();
-  collect_fault_telemetry(r, bed.cluster);
+  ChaosReport r{.stack = ChaosStack::kTcp,
+                .seed = o.seed,
+                .messages = o.messages};
+  finish_report(r, states, plan, bed);
   return r;
 }
 

@@ -50,14 +50,7 @@ struct ChaosOptions {
   sim::SimTime fault_window = sim::seconds(3.0);
   sim::SimTime deadline = sim::seconds(30.0);
 
-  int outages = 6;              // random carrier/port/stall outages
-  bool gilbert_elliott = true;  // two-state bursty loss on every link
-  bool duplicates = true;       // frame duplication
-  bool reorder = true;          // bounded-jitter delay (reordering)
-  // One seed-chosen node loses its carrier for longer than the CLIC retry
-  // budget: sends in flight to/from it must fail *cleanly* (bounded
-  // failure), and the peer must resynchronize when it comes back.
-  bool hard_partition = true;
+  int outages = 6;  // random carrier/port/stall outages
 
   // Run the CLIC stack in adaptive reliability mode (DESIGN.md §4k):
   // measured-RTT RTO ladder + congestion window. The liveness contract is

@@ -1,5 +1,6 @@
 #include "apps/sweep.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 

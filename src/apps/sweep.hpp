@@ -2,21 +2,18 @@
 // jobs, each constructing its own Simulator/cluster from a plain config
 // struct and returning a POD result row.
 //
-// Jobs execute on a sim::ParallelExecutor; result rows come back slotted in
-// add() order and each job's log output is buffered in a per-simulation
-// sink and flushed in the same order, so a binary's output is byte-identical
-// regardless of -j. `-j1` runs the jobs inline on the calling thread —
-// exactly the historical sequential behavior.
+// Jobs execute on a sim::ParallelExecutor and write only their own result
+// slot; rows come back in add() order, so a binary's output is
+// byte-identical regardless of -j. `-j1` runs the jobs inline on the
+// calling thread — exactly the historical sequential behavior.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/log.hpp"
 #include "sim/parallel_executor.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -51,23 +48,11 @@ class SweepRunner {
   [[nodiscard]] std::size_t size() const { return jobs_.size(); }
 
   // Runs every registered job and returns the rows in add() order.
-  // Per-simulation log output is flushed to stderr in the same order; pass
-  // `captured_logs` to collect it instead (index-aligned with the rows).
-  std::vector<Row> run(std::vector<std::string>* captured_logs = nullptr) {
+  std::vector<Row> run() {
     std::vector<Row> rows(jobs_.size());
-    std::vector<std::string> logs(jobs_.size());
     const sim::ParallelExecutor pool(options_.jobs);
-    pool.run_indexed(jobs_.size(), [&](std::size_t i) {
-      const sim::ScopedLogSink sink(&logs[i]);
-      rows[i] = jobs_[i]();
-    });
-    if (captured_logs != nullptr) {
-      *captured_logs = std::move(logs);
-    } else {
-      for (const auto& l : logs) {
-        if (!l.empty()) std::fputs(l.c_str(), stderr);
-      }
-    }
+    pool.run_indexed(jobs_.size(),
+                     [&](std::size_t i) { rows[i] = jobs_[i](); });
     jobs_.clear();
     return rows;
   }

@@ -87,8 +87,6 @@ struct Config {
   // fragment (requires a NicProfile with on_nic_fragmentation).
   bool use_nic_fragmentation = false;
   std::int64_t nic_frag_super_bytes = 65536;  // host-side packet size then
-
-  int max_ports = 256;
 };
 
 }  // namespace clicsim::clic

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
-
-#include "sim/log.hpp"
+#include <vector>
 
 namespace clicsim::clic {
 
@@ -18,6 +17,29 @@ std::uint64_t reassembly_key(int peer, std::uint8_t src_port,
          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer))
           << 16) |
          (static_cast<std::uint64_t>(src_port) << 8) | dst_port;
+}
+
+// One frame's slice of a message.
+struct Fragment {
+  std::int64_t offset;
+  std::int64_t length;
+};
+
+// Splits a `size`-byte message into frames of at most `chunk` payload
+// bytes. The upper-layer header rides on the first fragment and counts
+// against its budget. An empty message is one empty fragment.
+std::vector<Fragment> fragments(std::int64_t size, std::int64_t chunk,
+                                std::int64_t upper_bytes) {
+  std::vector<Fragment> out;
+  std::int64_t offset = 0;
+  do {
+    const std::int64_t budget =
+        out.empty() ? std::max<std::int64_t>(chunk - upper_bytes, 1) : chunk;
+    const std::int64_t length = std::min(budget, size - offset);
+    out.push_back({offset, length});
+    offset += length;
+  } while (offset < size);
+  return out;
 }
 
 }  // namespace
@@ -123,24 +145,18 @@ sim::Future<SendStatus> ClicModule::send(int src_port, int dst_node,
   kernel().syscall([this, src_port, dst_node, dst_port,
                     data = std::move(data), mode, type,
                     meta = std::move(meta), result]() mutable {
-    const std::int64_t chunk = chunk_bytes();
+    const std::vector<Fragment> frags =
+        fragments(data.size(), chunk_bytes(), meta.wire_bytes());
     std::deque<Packet> packets;
-    std::int64_t offset = 0;
-    bool first = true;
-    do {
-      // The upper-layer header rides on the first fragment and counts
-      // against its payload budget.
-      const std::int64_t budget =
-          first ? std::max<std::int64_t>(chunk - meta.wire_bytes(), 1)
-                : chunk;
-      const std::int64_t len = std::min(budget, data.size() - offset);
+    for (std::size_t i = 0; i < frags.size(); ++i) {
+      const auto [offset, len] = frags[i];
       Packet p;
       p.header.type = type;
-      if (first) p.upper = meta;
+      if (i == 0) p.upper = meta;
       p.header.src_port = static_cast<std::uint8_t>(src_port);
       p.header.dst_port = static_cast<std::uint8_t>(dst_port);
-      if (first) p.header.flags |= flags::kFirstFragment;
-      if (offset + len >= data.size()) {
+      if (i == 0) p.header.flags |= flags::kFirstFragment;
+      if (i + 1 == frags.size()) {
         p.header.flags |= flags::kLastFragment;
         if (mode == SendMode::kConfirmed) {
           p.header.flags |= flags::kAckRequested;
@@ -148,9 +164,7 @@ sim::Future<SendStatus> ClicModule::send(int src_port, int dst_node,
       }
       p.payload = len > 0 ? data.slice(offset, len) : net::Buffer::zeros(0);
       packets.push_back(std::move(p));
-      offset += len;
-      first = false;
-    } while (offset < data.size());
+    }
     send_packets(dst_node, std::move(packets), mode, result);
   });
   return result;
@@ -445,55 +459,29 @@ sim::Future<SendStatus> ClicModule::datagram_to(net::MacAddr dst,
 
   kernel().syscall([this, dst, src_port, dst_port, data = std::move(data),
                     meta = std::move(meta), result]() mutable {
-    const std::int64_t chunk = chunk_bytes();
-    struct State {
-      int dma_remaining = 0;
-    };
-    auto state = std::make_shared<State>();
-    // Fragment count: the first fragment's budget is reduced by the upper
-    // header; count conservatively by construction below.
-    state->dma_remaining = [&] {
-      std::int64_t off = 0;
-      int count = 0;
-      bool head = true;
-      do {
-        const std::int64_t budget =
-            head ? std::max<std::int64_t>(chunk - meta.wire_bytes(), 1)
-                 : chunk;
-        off += std::min(budget, data.size() - off);
-        head = false;
-        ++count;
-      } while (off < data.size());
-      return count;
-    }();
+    const std::vector<Fragment> frags =
+        fragments(data.size(), chunk_bytes(), meta.wire_bytes());
+    auto dma_remaining = std::make_shared<std::size_t>(frags.size());
 
     auto finish = [this, result]() mutable {
       kernel().syscall_return([result]() mutable { result.set({true}); });
     };
 
-    std::int64_t offset = 0;
-    bool first = true;
-    std::uint32_t seq = 0;
-    do {
-      // The upper-layer header rides on the first fragment and counts
-      // against its payload budget.
-      const std::int64_t budget =
-          first ? std::max<std::int64_t>(chunk - meta.wire_bytes(), 1)
-                : chunk;
-      const std::int64_t len = std::min(budget, data.size() - offset);
+    for (std::size_t i = 0; i < frags.size(); ++i) {
+      const auto [offset, len] = frags[i];
       ClicHeader h;
       h.type = PacketType::kBroadcast;
       h.src_port = static_cast<std::uint8_t>(src_port);
       h.dst_port = static_cast<std::uint8_t>(dst_port);
-      h.seq = seq++;
-      if (first) h.flags |= flags::kFirstFragment;
-      if (offset + len >= data.size()) h.flags |= flags::kLastFragment;
+      h.seq = static_cast<std::uint32_t>(i);
+      if (i == 0) h.flags |= flags::kFirstFragment;
+      if (i + 1 == frags.size()) h.flags |= flags::kLastFragment;
 
       os::SkBuff skb;
       skb.dst = dst;
       skb.src = node_->mac(0);
       skb.ethertype = net::kEtherTypeClic;
-      const net::HeaderBlob upper = first ? meta : net::HeaderBlob{};
+      const net::HeaderBlob upper = i == 0 ? meta : net::HeaderBlob{};
       skb.header = net::HeaderBlob::of(WireHeader{h, upper},
                                        kClicHeaderBytes + upper.wire_bytes());
       skb.payload =
@@ -503,17 +491,13 @@ sim::Future<SendStatus> ClicModule::datagram_to(net::MacAddr dst,
       node_->cpu().run(
           sim::CpuPriority::kKernel,
           config_.module_tx_cost + config_.driver_tx_cost,
-          [this, skb = std::move(skb), state, finish]() mutable {
-            node_->driver(0).xmit_or_queue(std::move(skb),
-                                           [state, finish]() mutable {
-                                             if (--state->dma_remaining == 0) {
-                                               finish();
-                                             }
-                                           });
+          [this, skb = std::move(skb), dma_remaining, finish]() mutable {
+            node_->driver(0).xmit_or_queue(
+                std::move(skb), [dma_remaining, finish]() mutable {
+                  if (--*dma_remaining == 0) finish();
+                });
           });
-      offset += len;
-      first = false;
-    } while (offset < data.size());
+    }
   });
   return result;
 }
@@ -694,11 +678,7 @@ void ClicModule::deliver_message(Message message, sim::CpuPriority prio,
                                  std::shared_ptr<os::CopyChain> chain,
                                  std::int64_t copied) {
   auto it = ports_.find(message.dst_port);
-  if (it == ports_.end()) {
-    CLICSIM_LOG(sim(), sim::LogLevel::kDebug, "clic")
-        << "drop to unbound port " << int{message.dst_port};
-    return;  // protection: nothing listens on this port
-  }
+  if (it == ports_.end()) return;  // protection: nothing listens on this port
   PortState& ps = it->second;
   if (!ps.waiting.empty()) {
     auto future = std::move(ps.waiting.front());
@@ -719,23 +699,14 @@ void ClicModule::complete_recv(sim::Future<Message> future, Message message,
   chain->add(message.data.size() - copied);
   chain->finish([this, chain, future = std::move(future),
                  message = std::move(message), wake_process]() mutable {
-    auto& cpu = node_->cpu();
+    auto resume = [future = std::move(future),
+                   message = std::move(message)]() mutable {
+      future.set(std::move(message));
+    };
     if (wake_process) {
-      cpu.run(sim::CpuPriority::kKernel, cpu.params().process_wakeup,
-              [this, future = std::move(future),
-               message = std::move(message)]() mutable {
-                node_->cpu().run(sim::CpuPriority::kUser,
-                                 node_->cpu().params().context_switch,
-                                 [future = std::move(future),
-                                  message = std::move(message)]() mutable {
-                                   future.set(std::move(message));
-                                 });
-              });
+      kernel().wake(std::move(resume));
     } else {
-      kernel().syscall_return([future = std::move(future),
-                               message = std::move(message)]() mutable {
-        future.set(std::move(message));
-      });
+      kernel().syscall_return(std::move(resume));
     }
   });
 }

@@ -31,7 +31,7 @@ NicCollectiveEngine::NicCollectiveEngine(Nic& nic, int rank,
   if (macs_.empty() || rank_ < 0 || rank_ >= size()) {
     throw std::invalid_argument("NicCollectiveEngine: bad rank/job size");
   }
-  nic_->set_fw_sink(kCollectiveEtherType,
+  nic_->set_fw_sink(net::kEtherTypeCollective,
                     [this](net::Frame f) { on_frame(std::move(f)); });
 }
 
@@ -154,7 +154,7 @@ void NicCollectiveEngine::send_frame(int dst_rank, CollOp op,
   net::Frame f;
   f.dst = macs_.at(static_cast<std::size_t>(dst_rank));
   f.src = nic_->mac();
-  f.ethertype = kCollectiveEtherType;
+  f.ethertype = net::kEtherTypeCollective;
   f.header = net::HeaderBlob::of(std::move(h), kCollHeaderBytes);
   f.payload = std::move(payload);
 

@@ -7,8 +7,8 @@
 // no host DMA, no interrupt, no kernel scheduling on the interior hops.
 // The host posts one descriptor per collective and gets one completion
 // callback; everything between is card-to-card traffic on a reserved
-// ethertype (0x88B7) that the NIC terminates inside the firmware
-// (Nic::set_fw_sink), so interior ranks' CPUs never wake up.
+// ethertype (net::kEtherTypeCollective) that the NIC terminates inside
+// the firmware (Nic::set_fw_sink), so interior ranks' CPUs never wake up.
 //
 // This is the "contender" bench/collective_scale races against the
 // host-tree collectives: at large node counts the per-hop saving (two PCI
@@ -34,8 +34,6 @@
 #include "sim/simulator.hpp"
 
 namespace clicsim::hw {
-
-inline constexpr std::uint16_t kCollectiveEtherType = 0x88B7;
 
 enum class CollOp : std::uint8_t { kBarrier = 0, kBcast = 1, kAllreduce = 2 };
 

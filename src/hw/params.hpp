@@ -17,8 +17,6 @@
 namespace clicsim::hw {
 
 struct HostParams {
-  double cpu_ghz = 1.5;
-
   // System call: enter + leave ~= 0.65 us total (paper, section 3.1).
   sim::SimTime syscall_enter = sim::nanoseconds(300);
   sim::SimTime syscall_exit = sim::nanoseconds(350);

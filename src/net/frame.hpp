@@ -46,11 +46,16 @@ struct MacAddrHash {
   }
 };
 
-// Ethertypes: IP as standardized; CLIC and GAMMA use experimental values
-// (the real CLIC also registers its own packet type with dev_add_pack).
+// Ethertypes: IP as standardized; the others use experimental values (the
+// real CLIC also registers its own packet type with dev_add_pack). Each
+// protocol needs its own value: a NIC's firmware sink (the NIC-resident
+// collectives) claims frames by ethertype alone, ahead of the VIA bypass
+// and the driver.
 inline constexpr std::uint16_t kEtherTypeIp = 0x0800;
 inline constexpr std::uint16_t kEtherTypeClic = 0x88B5;
 inline constexpr std::uint16_t kEtherTypeGamma = 0x88B6;
+inline constexpr std::uint16_t kEtherTypeVia = 0x88B7;
+inline constexpr std::uint16_t kEtherTypeCollective = 0x88B8;
 
 // Type-erased protocol header carried by a frame (e.g. clic::ClicHeader,
 // tcpip::Ipv4Header). Tracks the on-wire byte count it represents.

@@ -47,12 +47,4 @@ void Kernel::light_syscall(sim::Action body) {
             std::move(body));
 }
 
-void WaitQueue::wake_all() {
-  if (trigger_.waiter_count() == 0) return;
-  cpu_->run(sim::CpuPriority::kKernel, cpu_->params().process_wakeup, [this] {
-    cpu_->run(sim::CpuPriority::kUser, cpu_->params().context_switch,
-              [this] { trigger_.fire(); });
-  });
-}
-
 }  // namespace clicsim::os

@@ -1,5 +1,5 @@
 // Per-node kernel services: bottom halves (softirqs), kernel timers,
-// system-call cost accounting and process wait queues.
+// system-call cost accounting and the scheduler wake of a blocked process.
 #pragma once
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 #include "sim/inline_function.hpp"
 #include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
-#include "sim/task.hpp"
 #include "sim/timers.hpp"
 
 namespace clicsim::os {
@@ -56,6 +55,21 @@ class Kernel {
 
   [[nodiscard]] std::uint64_t syscalls() const { return syscalls_; }
 
+  // --- Scheduler wake -------------------------------------------------------
+  // Wakes a process blocked in a receive: the wakeup cost at kernel
+  // priority, then a context switch at user priority, then `resume` runs
+  // in the woken process — the scheduler mediation CLIC deliberately keeps
+  // (section 3.2(a)). Like add_timer, `resume` rides in the CPU work item
+  // as it is, not wrapped in an Action, so a small one allocates nothing.
+  template <typename F>
+  void wake(F&& resume) {
+    cpu_->run(sim::CpuPriority::kKernel, cpu_->params().process_wakeup,
+              [cpu = cpu_, resume = std::forward<F>(resume)]() mutable {
+                cpu->run(sim::CpuPriority::kUser,
+                         cpu->params().context_switch, std::move(resume));
+              });
+  }
+
   [[nodiscard]] hw::Cpu& cpu() { return *cpu_; }
   [[nodiscard]] sim::Simulator& sim() { return *sim_; }
 
@@ -69,31 +83,6 @@ class Kernel {
   bool bh_scheduled_ = false;
   std::uint64_t bh_run_ = 0;
   std::uint64_t syscalls_ = 0;
-};
-
-// A queue of blocked simulated processes. Waking charges the wakeup cost in
-// kernel context plus a context switch before the woken coroutine resumes —
-// the scheduler mediation CLIC deliberately keeps (section 3.2(a)).
-class WaitQueue {
- public:
-  WaitQueue(sim::Simulator& sim, hw::Cpu& cpu)
-      : sim_(&sim), cpu_(&cpu), trigger_(sim) {}
-
-  // co_await sleep(): parks the calling coroutine until woken.
-  [[nodiscard]] sim::Trigger::Awaiter sleep() { return trigger_.wait(); }
-
-  // Wakes every sleeper: wakeup cost at kernel priority, then a context
-  // switch, then the coroutines resume.
-  void wake_all();
-
-  [[nodiscard]] std::size_t sleepers() const {
-    return trigger_.waiter_count();
-  }
-
- private:
-  sim::Simulator* sim_;
-  hw::Cpu* cpu_;
-  sim::Trigger trigger_;
 };
 
 }  // namespace clicsim::os

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/log.hpp"
-
 namespace clicsim::sim {
 
 FaultPlan::FaultPlan(Simulator& sim, std::uint64_t seed)
@@ -90,28 +88,20 @@ void FaultPlan::randomize(const Campaign& campaign) {
 }
 
 void FaultPlan::enter_failure(int target, int part) {
-  Target& t = targets_[static_cast<std::size_t>(target)];
-  Part& p = t.parts[static_cast<std::size_t>(part)];
+  Part& p = targets_[static_cast<std::size_t>(target)]
+                .parts[static_cast<std::size_t>(part)];
   if (part == 0) fired_.fetch_add(1, std::memory_order_relaxed);
   if (p.depth++ > 0) return;  // already down: outages nest
-  if (part == 0) {
-    active_.fetch_add(1, std::memory_order_relaxed);
-    CLICSIM_LOG(*p.sim, LogLevel::kDebug, "fault")
-        << "fail " << t.name << " (seed " << seed_ << ")";
-  }
+  if (part == 0) active_.fetch_add(1, std::memory_order_relaxed);
   if (p.fail) p.fail();
 }
 
 void FaultPlan::leave_failure(int target, int part) {
-  Target& t = targets_[static_cast<std::size_t>(target)];
-  Part& p = t.parts[static_cast<std::size_t>(part)];
+  Part& p = targets_[static_cast<std::size_t>(target)]
+                .parts[static_cast<std::size_t>(part)];
   if (part == 0) fired_.fetch_add(1, std::memory_order_relaxed);
   if (--p.depth > 0) return;  // an overlapping outage still holds it down
-  if (part == 0) {
-    active_.fetch_sub(1, std::memory_order_relaxed);
-    CLICSIM_LOG(*p.sim, LogLevel::kDebug, "fault")
-        << "restore " << t.name << " (seed " << seed_ << ")";
-  }
+  if (part == 0) active_.fetch_sub(1, std::memory_order_relaxed);
   if (p.restore) p.restore();
 }
 

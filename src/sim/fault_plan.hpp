@@ -51,7 +51,7 @@ class FaultPlan {
 
   // One simulator's slice of a target. Every part of a target receives the
   // same outage schedule (on its own simulator); part 0 is the primary —
-  // it alone drives faults_fired()/active_failures() and the debug log.
+  // it alone drives faults_fired()/active_failures().
   struct Part {
     Simulator* sim = nullptr;
     Hook fail;

@@ -9,21 +9,6 @@
 
 namespace clicsim::sim {
 
-void Summary::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double Summary::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double Summary::stddev() const { return std::sqrt(variance()); }
-
 HdrHistogram::HdrHistogram(int significant_digits, std::int64_t max_trackable)
     : sig_digits_(significant_digits), max_trackable_(max_trackable) {
   if (significant_digits < 1 || significant_digits > 5) {
@@ -147,28 +132,6 @@ void HdrHistogram::reset() {
   min_ = std::numeric_limits<std::int64_t>::max();
   max_ = 0;
   sum_ = 0;
-}
-
-double Series::at(double x) const {
-  if (points_.empty()) return 0.0;
-  if (x <= points_.front().x) return points_.front().y;
-  if (x >= points_.back().x) return points_.back().y;
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    if (points_[i].x >= x) {
-      const auto& a = points_[i - 1];
-      const auto& b = points_[i];
-      const double t = (x - a.x) / (b.x - a.x);
-      return a.y + t * (b.y - a.y);
-    }
-  }
-  return points_.back().y;
-}
-
-double Series::first_x_reaching(double level) const {
-  for (const auto& p : points_) {
-    if (p.y >= level) return p.x;
-  }
-  return std::nan("");
 }
 
 double Series::max_y() const {

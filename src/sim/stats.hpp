@@ -1,7 +1,6 @@
 // Lightweight measurement primitives used throughout the models and the
-// benchmark harness: counters, running summaries, HDR-style log-linear
-// histograms for tail-latency telemetry, and (x, y) series for figure
-// reproduction.
+// benchmark harness: HDR-style log-linear histograms for tail-latency
+// telemetry, and (x, y) series for figure reproduction.
 #pragma once
 
 #include <cstdint>
@@ -11,36 +10,6 @@
 #include <vector>
 
 namespace clicsim::sim {
-
-class Counter {
- public:
-  void add(std::int64_t n = 1) { value_ += n; }
-  [[nodiscard]] std::int64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::int64_t value_ = 0;
-};
-
-// Running min/max/mean/stddev (Welford).
-class Summary {
- public:
-  void add(double x);
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  void reset() { *this = Summary{}; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // HDR-style log-linear histogram for tail-latency telemetry (p99/p999
 // claims need a bounded relative error, not a power-of-two bucket).
@@ -135,13 +104,6 @@ class Series {
     double y;
   };
   [[nodiscard]] const std::vector<Point>& points() const { return points_; }
-
-  // Linear interpolation of y at x (clamped to the sampled range);
-  // requires points sorted by x.
-  [[nodiscard]] double at(double x) const;
-
-  // Smallest sampled x whose y reaches `level`; NaN when never reached.
-  [[nodiscard]] double first_x_reaching(double level) const;
 
   [[nodiscard]] double max_y() const;
 

@@ -499,16 +499,10 @@ void TcpSocket::pump_recv_requests(sim::CpuPriority prio) {
     auto chain = req.chain;
     recv_requests_.pop_front();
     chain->finish([this, chain, future, out = std::move(out)]() mutable {
-      auto& cpu = stack_->node().cpu();
-      cpu.run(sim::CpuPriority::kKernel, cpu.params().process_wakeup,
-              [this, future, out = std::move(out)]() mutable {
-                auto& c = stack_->node().cpu();
-                c.run(sim::CpuPriority::kUser, c.params().context_switch,
-                      [future = std::move(future),
-                       out = std::move(out)]() mutable {
-                        future.set(std::move(out));
-                      });
-              });
+      stack_->node().kernel().wake(
+          [future = std::move(future), out = std::move(out)]() mutable {
+            future.set(std::move(out));
+          });
     });
   }
 

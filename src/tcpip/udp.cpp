@@ -77,18 +77,10 @@ void UdpStack::datagram_received(int src_node, net::HeaderBlob l4,
                   nn.cpu().run(
                       prio, nn.cpu().copy_cost(d.data.size()),
                       [this, future, d = std::move(d)]() mutable {
-                        auto& cpu = node().cpu();
-                        cpu.run(sim::CpuPriority::kKernel,
-                                cpu.params().process_wakeup,
-                                [this, future, d = std::move(d)]() mutable {
-                                  auto& c = node().cpu();
-                                  c.run(sim::CpuPriority::kUser,
-                                        c.params().context_switch,
-                                        [future,
-                                         d = std::move(d)]() mutable {
-                                          future.set(std::move(d));
-                                        });
-                                });
+                        node().kernel().wake(
+                            [future, d = std::move(d)]() mutable {
+                              future.set(std::move(d));
+                            });
                       });
                 } else {
                   ps.ready.push_back(std::move(d));

@@ -175,7 +175,7 @@ void ViaProvider::user_send(Vi& vi, ViaHeader header, net::Buffer data,
             hw::Nic::TxRequest req;
             req.frame.dst = addresses_->macs_of(dst_node)[0];
             req.frame.src = node_->mac(0);
-            req.frame.ethertype = kEtherTypeVia;
+            req.frame.ethertype = net::kEtherTypeVia;
             req.frame.header = net::HeaderBlob::of(h, kViaHeaderBytes);
             req.frame.payload = len > 0 ? data.slice(offset, len)
                                         : net::Buffer::zeros(0);

@@ -28,14 +28,11 @@
 
 namespace clicsim::via {
 
-inline constexpr std::uint16_t kEtherTypeVia = 0x88B7;
-
 struct Config {
   sim::SimTime descriptor_build = sim::nanoseconds(300);  // user-level
   sim::SimTime doorbell = sim::nanoseconds(400);          // uncached write
   sim::SimTime nic_descriptor_fetch = sim::microseconds(1.0);
   sim::SimTime completion_write = sim::nanoseconds(500);
-  sim::SimTime poll_cost = sim::nanoseconds(250);   // one CQ check
   sim::SimTime poll_interval = sim::microseconds(1.0);
 };
 

@@ -266,6 +266,30 @@ TEST(Via, RdmaWriteFillsRemoteRegion) {
   EXPECT_EQ(p.b->region_bytes_written(), 120000);
 }
 
+// A NIC-resident collective engine takes only its own ethertype off the
+// card: VIA traffic to a node whose NIC runs one is still delivered.
+TEST(Via, DeliversBesideANicCollectiveEngine) {
+  ViaPair p;
+  hw::NicCollectiveEngine engine(
+      p.bed.cluster.node(1).nic(0), 1,
+      {os::Cluster::mac_of(0, 0), os::Cluster::mac_of(1, 0)});
+  p.b->post_recv(1000);
+  const net::Buffer payload = net::Buffer::pattern(800, 3);
+  struct Run {
+    static sim::Task rx(via::Vi& vi, net::Buffer expect, bool* ok) {
+      via::Completion c = co_await vi.poll_wait();
+      *ok = !c.is_send && c.data.content_equals(expect);
+    }
+  };
+  bool ok = false;
+  p.a->post_send(payload);
+  Run::rx(*p.b, payload, &ok);
+  // The receiver polls until a completion appears, so bound the run.
+  p.bed.sim.run_until(sim::milliseconds(10));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(p.b->rx_dropped_no_descriptor(), 0u);
+}
+
 TEST(Via, PollingBurnsCpuWhileWaiting) {
   ViaPair p;
   p.b->post_recv(1000);

@@ -1,5 +1,5 @@
-// Communication patterns over the mini-MPI: nonblocking bursts with
-// when_all (MPI_Waitall), ring shifts, and pipelined stages.
+// Communication patterns over the mini-MPI: nonblocking bursts awaited
+// together (MPI_Waitall), ring shifts, and pipelined stages.
 #include <gtest/gtest.h>
 
 #include "apps/testbed.hpp"
@@ -13,13 +13,12 @@ TEST(MpiPatterns, WaitAllOnABurstOfISends) {
   bool all_sent = false;
   int received = 0;
   struct Run {
-    static sim::Task tx(sim::Simulator& sim, mpi::Communicator& c,
-                        bool* done) {
+    static sim::Task tx(mpi::Communicator& c, bool* done) {
       std::vector<sim::Future<bool>> requests;
       for (int i = 0; i < 8; ++i) {
         requests.push_back(c.send(1, 100 + i, net::Buffer::zeros(4000)));
       }
-      (void)co_await sim::when_all(sim, std::move(requests));
+      for (auto& request : requests) (void)co_await request;
       *done = true;
     }
     static sim::Task rx(mpi::Communicator& c, int* received) {
@@ -30,7 +29,7 @@ TEST(MpiPatterns, WaitAllOnABurstOfISends) {
       }
     }
   };
-  Run::tx(bed.sim(), bed.comm(0), &all_sent);
+  Run::tx(bed.comm(0), &all_sent);
   Run::rx(bed.comm(1), &received);
   bed.sim().run();
   EXPECT_TRUE(all_sent);
@@ -109,20 +108,6 @@ TEST(MpiPatterns, PipelineBottlenecksOnMiddleNodesPci) {
   EXPECT_GT(ms, 55.0);
   EXPECT_LT(ms, 95.0);
   EXPECT_GT(bed.bed.cluster.node(1).pci().utilization(), 0.75);
-}
-
-TEST(MpiPatterns, WhenAllWithEmptySetCompletesImmediately) {
-  sim::Simulator sim;
-  auto done = sim::when_all(sim, std::vector<sim::Future<bool>>{});
-  bool finished = false;
-  struct Run {
-    static sim::Task go(sim::Future<bool> f, bool* out) {
-      *out = co_await f;
-    }
-  };
-  Run::go(done, &finished);
-  sim.run();
-  EXPECT_TRUE(finished);
 }
 
 }  // namespace

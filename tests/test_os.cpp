@@ -2,6 +2,7 @@
 // copies, nodes and cluster wiring.
 #include <gtest/gtest.h>
 
+#include "clic/module.hpp"
 #include "os/address.hpp"
 #include "os/cluster.hpp"
 #include "os/driver.hpp"
@@ -96,21 +97,45 @@ TEST(Kernel, LightSyscallIsCheaper) {
   EXPECT_LT(b.node.cpu().busy_time(), a.node.cpu().busy_time());
 }
 
-TEST(WaitQueue, SleepAndWakeChargesSchedulerPath) {
+// The scheduler wake: the wakeup cost at kernel priority, then a context
+// switch at user priority, then the woken process runs.
+TEST(Kernel, WakeChargesSchedulerPath) {
   NodeRig rig;
-  WaitQueue wq(rig.sim, rig.node.cpu());
   sim::SimTime woke_at = -1;
-  auto sleeper = [](sim::Simulator& s, WaitQueue& q,
-                    sim::SimTime& out) -> sim::Task {
-    co_await q.sleep();
-    out = s.now();
-  };
-  sleeper(rig.sim, wq, woke_at);
-  EXPECT_EQ(wq.sleepers(), 1u);
-  rig.sim.after(1000, [&] { wq.wake_all(); });
+  rig.sim.after(1000, [&] {
+    rig.node.kernel().wake([&] { woke_at = rig.sim.now(); });
+  });
   rig.sim.run();
   const auto& p = rig.node.cpu().params();
   EXPECT_EQ(woke_at, 1000 + p.process_wakeup + p.context_switch);
+  EXPECT_EQ(rig.node.cpu().busy_time(sim::CpuPriority::kKernel),
+            p.process_wakeup);
+  EXPECT_EQ(rig.node.cpu().busy_time(sim::CpuPriority::kUser),
+            p.context_switch);
+}
+
+// CLIC wakes a blocked receiver with a [future, message] closure; it rides
+// in the CPU work items inline, with no heap fallback.
+TEST(Kernel, WakeKeepsAClicSizedClosureInline) {
+  NodeRig rig;
+  sim::Future<clic::Message> future(rig.sim);
+  clic::Message message;
+  message.data = net::Buffer::zeros(100);
+  std::int64_t received = -1;
+  struct Run {
+    static sim::Task rx(sim::Future<clic::Message> f, std::int64_t* out) {
+      clic::Message m = co_await f;
+      *out = m.data.size();
+    }
+  };
+  Run::rx(future, &received);
+  const std::uint64_t before = sim::inline_function_heap_allocs();
+  rig.node.kernel().wake([future, message = std::move(message)]() mutable {
+    future.set(std::move(message));
+  });
+  rig.sim.run();
+  EXPECT_EQ(sim::inline_function_heap_allocs(), before);
+  EXPECT_EQ(received, 100);
 }
 
 // --- copy_data / CopyChain ------------------------------------------------------------

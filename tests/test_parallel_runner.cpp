@@ -1,7 +1,6 @@
-// The parallel sweep harness: sim::ParallelExecutor, per-thread log sinks
-// and apps::SweepRunner. The load-bearing property is cross-thread
-// determinism — the same sweep at any -j yields bitwise-equal result rows
-// and identical captured per-simulation trace output.
+// The parallel sweep harness: sim::ParallelExecutor and apps::SweepRunner.
+// The load-bearing property is cross-thread determinism — the same sweep at
+// any -j yields bitwise-equal result rows, per-simulation traces included.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +14,6 @@
 #include "apps/workloads.hpp"
 #include "net/buffer.hpp"
 #include "net/buffer_pool.hpp"
-#include "sim/log.hpp"
 #include "sim/parallel_executor.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -75,47 +73,12 @@ TEST(ParallelExecutor, FirstJobExceptionPropagates) {
   EXPECT_EQ(completed.load(), 7);  // the pool drains before rethrowing
 }
 
-TEST(LogSink, ThreadSinkCapturesAndRestores) {
-  sim::Simulator sim;
-  const sim::LogLevel before = sim::log_level();
-  sim::set_log_level(sim::LogLevel::kInfo);
-  std::string captured;
-  {
-    const sim::ScopedLogSink sink(&captured);
-    EXPECT_EQ(sim::thread_log_sink(), &captured);
-    CLICSIM_LOG(sim, sim::LogLevel::kInfo, "test") << "hello " << 42;
-  }
-  EXPECT_EQ(sim::thread_log_sink(), nullptr);
-  sim::set_log_level(before);
-  EXPECT_NE(captured.find("INFO test: hello 42"), std::string::npos);
-  EXPECT_NE(captured.find("ns]"), std::string::npos);
-}
-
-TEST(LogSink, SinksNest) {
-  sim::Simulator sim;
-  const sim::LogLevel before = sim::log_level();
-  sim::set_log_level(sim::LogLevel::kInfo);
-  std::string outer;
-  std::string inner;
-  {
-    const sim::ScopedLogSink a(&outer);
-    {
-      const sim::ScopedLogSink b(&inner);
-      CLICSIM_LOG(sim, sim::LogLevel::kInfo, "test") << "inner line";
-    }
-    CLICSIM_LOG(sim, sim::LogLevel::kInfo, "test") << "outer line";
-  }
-  sim::set_log_level(before);
-  EXPECT_NE(inner.find("inner line"), std::string::npos);
-  EXPECT_EQ(inner.find("outer line"), std::string::npos);
-  EXPECT_NE(outer.find("outer line"), std::string::npos);
-}
-
 // One sweep job: a real simulation that both measures (one-way time) and
-// traces (sim-time-stamped log lines emitted from inside event handlers).
+// traces (the sim-time stamps of handlers run inside a second simulation).
 struct TracedRow {
   sim::SimTime one_way = 0;
   std::uint64_t events = 0;
+  std::vector<sim::SimTime> trace;
 
   bool operator==(const TracedRow&) const = default;
 };
@@ -126,54 +89,44 @@ TracedRow traced_point(std::int64_t size) {
   TracedRow row;
   row.one_way = apps::clic_one_way(s, size);
 
-  // A second small simulation whose handlers log: exercises the per-sim
-  // trace path with real sim-time stamps.
+  // A second small simulation whose handlers record when they ran:
+  // exercises a per-simulation trace with real sim-time stamps.
   sim::Simulator sim;
   for (int i = 0; i < 3; ++i) {
-    sim.after(100 * (i + 1) + size, [&sim, i, size] {
-      CLICSIM_LOG(sim, sim::LogLevel::kInfo, "sweep")
-          << "point size=" << size << " step=" << i;
-    });
+    sim.after(100 * (i + 1) + size,
+              [&sim, &row] { row.trace.push_back(sim.now()); });
   }
   row.events = sim.run();
   return row;
 }
 
 // The acceptance-criterion test: the same 8-point sweep at -j1, -j2 and
-// -j8 produces bitwise-equal rows and identical captured per-sim output.
+// -j8 produces bitwise-equal rows, traces included.
 TEST(SweepDeterminism, RowsAndTracesIdenticalAcrossJobCounts) {
-  const sim::LogLevel before = sim::log_level();
-  sim::set_log_level(sim::LogLevel::kInfo);
   const std::vector<std::int64_t> sizes{0,    64,    512,   4096,
                                         9000, 30000, 65536, 262144};
 
-  auto sweep = [&](int jobs, std::vector<std::string>* logs) {
+  auto sweep = [&](int jobs) {
     apps::SweepRunner<TracedRow> runner(apps::SweepOptions{jobs});
     for (const auto size : sizes) {
       runner.add([size] { return traced_point(size); });
     }
-    return runner.run(logs);
+    return runner.run();
   };
 
-  std::vector<std::string> logs1;
-  std::vector<std::string> logs2;
-  std::vector<std::string> logs8;
-  const auto rows1 = sweep(1, &logs1);
-  const auto rows2 = sweep(2, &logs2);
-  const auto rows8 = sweep(8, &logs8);
-  sim::set_log_level(before);
+  const auto rows1 = sweep(1);
+  const auto rows2 = sweep(2);
+  const auto rows8 = sweep(8);
 
   EXPECT_EQ(rows1, rows2);
   EXPECT_EQ(rows1, rows8);
-  EXPECT_EQ(logs1, logs2);
-  EXPECT_EQ(logs1, logs8);
 
   // The traces are non-trivial and per-simulation.
-  ASSERT_EQ(logs1.size(), sizes.size());
+  ASSERT_EQ(rows1.size(), sizes.size());
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    EXPECT_NE(logs1[i].find("size=" + std::to_string(sizes[i])),
-              std::string::npos);
-    EXPECT_NE(logs1[i].find("step=2"), std::string::npos);
+    const std::vector<sim::SimTime> expect{
+        100 + sizes[i], 200 + sizes[i], 300 + sizes[i]};
+    EXPECT_EQ(rows1[i].trace, expect);
   }
 }
 
@@ -252,33 +205,6 @@ TEST(SweepRunner, RowsComeBackInAddOrder) {
   const auto rows = runner.run();
   ASSERT_EQ(rows.size(), 32u);
   for (int i = 0; i < 32; ++i) EXPECT_EQ(rows[static_cast<std::size_t>(i)], i * i);
-}
-
-TEST(SweepRunner, FlushesLogsInJobOrderWhenNotCaptured) {
-  // run() without capture flushes to stderr; with capture the per-job
-  // buffers arrive index-aligned even though execution interleaves.
-  const sim::LogLevel before = sim::log_level();
-  sim::set_log_level(sim::LogLevel::kInfo);
-  apps::SweepRunner<int> runner(apps::SweepOptions{4});
-  for (int i = 0; i < 8; ++i) {
-    runner.add([i] {
-      sim::Simulator sim;
-      sim.after(10, [&sim, i] {
-        CLICSIM_LOG(sim, sim::LogLevel::kInfo, "order") << "job " << i;
-      });
-      sim.run();
-      return i;
-    });
-  }
-  std::vector<std::string> logs;
-  (void)runner.run(&logs);
-  sim::set_log_level(before);
-  ASSERT_EQ(logs.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_NE(logs[static_cast<std::size_t>(i)].find(
-                  "job " + std::to_string(i)),
-              std::string::npos);
-  }
 }
 
 TEST(SweepArgs, ParsesJobFlagForms) {
