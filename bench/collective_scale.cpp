@@ -26,6 +26,7 @@
 
 #include "apps/testbed.hpp"
 #include "bench/bench_util.hpp"
+#include "sim/random.hpp"
 #include "sim/task.hpp"
 
 using namespace clicsim;
@@ -110,16 +111,6 @@ Options parse_args(int argc, char** argv) {
     }
   }
   return o;
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= kFnvPrime;
-  }
 }
 
 // Per-op latencies of one (nodes, stack) cell, in simulated time.
@@ -258,10 +249,10 @@ void print_row(std::uint64_t& digest, int nodes, const char* stack,
       " allreduce_us=%.3f\n",
       nodes, stack, sim::to_us(cell.barrier), sim::to_us(cell.bcast),
       sim::to_us(cell.allreduce));
-  fnv(digest, static_cast<std::uint64_t>(nodes));
-  fnv(digest, static_cast<std::uint64_t>(cell.barrier));
-  fnv(digest, static_cast<std::uint64_t>(cell.bcast));
-  fnv(digest, static_cast<std::uint64_t>(cell.allreduce));
+  sim::fnv1a_fold(digest, static_cast<std::uint64_t>(nodes));
+  sim::fnv1a_fold(digest, static_cast<std::uint64_t>(cell.barrier));
+  sim::fnv1a_fold(digest, static_cast<std::uint64_t>(cell.bcast));
+  sim::fnv1a_fold(digest, static_cast<std::uint64_t>(cell.allreduce));
 }
 
 }  // namespace
@@ -272,7 +263,7 @@ int main(int argc, char** argv) {
 
   std::printf("collective_scale topology=fat-tree bytes=%lld\n",
               static_cast<long long>(o.bytes));
-  std::uint64_t digest = kFnvOffset;
+  std::uint64_t digest = sim::kFnvShortOffset;
   bool all_complete = true;
   bench::ShardStats stats;
   bench::ShardStats* stats_ptr = o.shard.stats ? &stats : nullptr;

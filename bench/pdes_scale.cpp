@@ -21,6 +21,7 @@
 
 #include "apps/testbed.hpp"
 #include "bench/bench_util.hpp"
+#include "sim/random.hpp"
 #include "sim/task.hpp"
 
 using namespace clicsim;
@@ -110,16 +111,6 @@ Options parse_args(int argc, char** argv) {
   return o;
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
 struct NodeCounters {
   int sent_ok = 0;
   int sent_failed = 0;
@@ -193,21 +184,21 @@ int main(int argc, char** argv) {
   bed.run();
   const auto wall_end = std::chrono::steady_clock::now();
 
-  std::uint64_t digest = kFnvOffset;
+  std::uint64_t digest = sim::kFnvShortOffset;
   int delivered = 0;
   int failures = 0;
   for (int n = 0; n < o.nodes; ++n) {
     const NodeCounters& c = counters[static_cast<std::size_t>(n)];
-    fnv(digest, static_cast<std::uint64_t>(n));
-    fnv(digest, static_cast<std::uint64_t>(c.sent_ok));
-    fnv(digest, static_cast<std::uint64_t>(c.sent_failed));
-    fnv(digest, static_cast<std::uint64_t>(c.received));
-    fnv(digest, static_cast<std::uint64_t>(c.corrupt));
+    sim::fnv1a_fold(digest, static_cast<std::uint64_t>(n));
+    sim::fnv1a_fold(digest, static_cast<std::uint64_t>(c.sent_ok));
+    sim::fnv1a_fold(digest, static_cast<std::uint64_t>(c.sent_failed));
+    sim::fnv1a_fold(digest, static_cast<std::uint64_t>(c.received));
+    sim::fnv1a_fold(digest, static_cast<std::uint64_t>(c.corrupt));
     delivered += c.received;
     failures += c.sent_failed + c.corrupt;
   }
-  fnv(digest, bed.events_executed());
-  fnv(digest, static_cast<std::uint64_t>(bed.now()));
+  sim::fnv1a_fold(digest, bed.events_executed());
+  sim::fnv1a_fold(digest, static_cast<std::uint64_t>(bed.now()));
 
   std::printf("pdes_scale nodes=%d messages=%d bytes=%lld topology=%s\n",
               o.nodes, o.messages, static_cast<long long>(o.bytes),

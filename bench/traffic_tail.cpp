@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
                    std::chrono::duration_cast<std::chrono::milliseconds>(
                        wall_end - wall_start)
                        .count()),
-               opts.jobs, opts.shards);
+               opts.workers(), opts.shards);
 
   bench::heading("Open-loop traffic: tail latency, CLIC vs TCP");
   std::printf("  %-14s %-5s %7s %10s %10s %10s %7s  %s\n", "workload",

@@ -4,9 +4,9 @@
 # repository root.
 #
 # Usage: scripts/reproduce.sh [-j N] [--shards N]
-#   -j N        worker threads per sweeping bench binary (default: all cores;
-#               -j1 is the exact sequential run — figure output is
-#               byte-identical at any -j)
+#   -j N        worker threads per sweeping bench binary (default: all cores
+#               divided by --shards; -j1 is the exact sequential run — figure
+#               output is byte-identical at any -j)
 #   --shards N  intra-scenario PDES shards per simulation (default 1; figure
 #               output is byte-identical at any shard count)
 #
@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-JOBS="$(nproc)"
+JOBS=""  # empty: each binary picks its own worker count
 SHARDS=1
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -43,7 +43,7 @@ for b in build/bench/*; do
       pdes_scale|collective_scale)  # one scenario per run: no -j flag
         "$b" --shards "$SHARDS" 2>&1 | tee -a bench_output.txt ;;
       *)
-        "$b" -j "$JOBS" --shards "$SHARDS" 2>&1 | tee -a bench_output.txt ;;
+        "$b" ${JOBS:+-j "$JOBS"} --shards "$SHARDS" 2>&1 | tee -a bench_output.txt ;;
     esac
   fi
 done

@@ -1,5 +1,6 @@
 #include "apps/sweep.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,9 +16,9 @@ namespace {
   std::fprintf(out,
                "usage: %s [-j N] [--shards N]\n"
                "  -j N, --jobs N   run sweep points on N worker threads\n"
-               "                   (default: all cores; -j1 is the exact\n"
-               "                   sequential run — output is byte-identical\n"
-               "                   at any -j)\n"
+               "                   (default: all cores divided by --shards;\n"
+               "                   -j1 is the exact sequential run — output\n"
+               "                   is byte-identical at any -j)\n"
                "  --shards N       shard each simulation across N PDES\n"
                "                   worker threads (default 1; output is\n"
                "                   byte-identical at any shard count)\n",
@@ -33,6 +34,12 @@ int parse_job_count(const char* prog, const char* text) {
 }
 
 }  // namespace
+
+int SweepOptions::workers() const {
+  if (jobs > 0) return jobs;
+  return std::max(1, sim::ParallelExecutor::default_threads() /
+                         std::max(1, shards));
+}
 
 SweepOptions parse_sweep_args(int argc, char** argv) {
   SweepOptions options;

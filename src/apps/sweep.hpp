@@ -21,16 +21,22 @@
 namespace clicsim::apps {
 
 struct SweepOptions {
-  int jobs = 0;    // worker threads; <= 0 means every hardware core
+  int jobs = 0;    // worker threads; <= 0 means workers() picks
   int shards = 1;  // intra-scenario PDES shards per simulation (1 = serial)
+
+  // Sweep worker threads: `jobs` when set, else max(1, cores / shards).
+  // Every job of a sharded sweep spins `shards` threads, so the default
+  // keeps workers times shard threads within the cores.
+  [[nodiscard]] int workers() const;
 };
 
 // Parses the shared benchmark command line: `-j N`, `-jN`, `--jobs N` or
-// `--jobs=N` select the worker count (default: all cores; `-j1` reproduces
-// the sequential run bit for bit); `--shards N` / `--shards=N` shard each
-// individual simulation across N PDES worker threads (default 1; output is
-// byte-identical at any shard count). `-h`/`--help` prints usage and exits
-// 0; anything unrecognized prints usage to stderr and exits 2.
+// `--jobs=N` select the worker count (default: all cores divided by the
+// shard count; `-j1` reproduces the sequential run bit for bit);
+// `--shards N` / `--shards=N` shard each individual simulation across N
+// PDES worker threads (default 1; output is byte-identical at any shard
+// count). `-h`/`--help` prints usage and exits 0; anything unrecognized
+// prints usage to stderr and exits 2.
 SweepOptions parse_sweep_args(int argc, char** argv);
 
 template <typename Row>
@@ -50,7 +56,7 @@ class SweepRunner {
   // Runs every registered job and returns the rows in add() order.
   std::vector<Row> run() {
     std::vector<Row> rows(jobs_.size());
-    const sim::ParallelExecutor pool(options_.jobs);
+    const sim::ParallelExecutor pool(options_.workers());
     pool.run_indexed(jobs_.size(),
                      [&](std::size_t i) { rows[i] = jobs_[i](); });
     jobs_.clear();

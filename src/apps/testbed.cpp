@@ -63,7 +63,6 @@ TcpBed::TcpBed(os::ClusterConfig cluster_config, tcpip::Config tcp_config)
     ip.push_back(std::make_unique<tcpip::IpLayer>(cluster.node(i),
                                                   tcp_config, addresses));
     tcp.push_back(std::make_unique<tcpip::TcpStack>(*ip.back(), tcp_config));
-    udp.push_back(std::make_unique<tcpip::UdpStack>(*ip.back(), tcp_config));
   }
 }
 

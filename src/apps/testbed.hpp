@@ -15,7 +15,6 @@
 #include "os/cluster.hpp"
 #include "pvm/pvm.hpp"
 #include "tcpip/tcp.hpp"
-#include "tcpip/udp.hpp"
 #include "via/via.hpp"
 
 namespace clicsim::apps {
@@ -79,7 +78,6 @@ struct ClicBed : BedCore {
 struct TcpBed : BedCore {
   std::vector<std::unique_ptr<tcpip::IpLayer>> ip;
   std::vector<std::unique_ptr<tcpip::TcpStack>> tcp;
-  std::vector<std::unique_ptr<tcpip::UdpStack>> udp;
 
   explicit TcpBed(os::ClusterConfig cluster_config = {},
                   tcpip::Config tcp_config = {});

@@ -10,7 +10,6 @@
 #include "hw/nic.hpp"
 #include "tcpip/ip.hpp"
 #include "tcpip/tcp.hpp"
-#include "tcpip/udp.hpp"
 #include "via/via.hpp"
 
 namespace clicsim::apps {
@@ -73,19 +72,11 @@ std::string describe(const net::Frame& frame) {
       os << "TCP " << tcp->src_port << '>' << tcp->dst_port << " seq "
          << tcp->seq << " ack " << tcp->ack << " win " << tcp->window
          << " flags " << tcp_flags(tcp->flags);
-    } else if (const auto* udp = ip->l4.get<tcpip::UdpHeader>()) {
-      os << "UDP " << udp->src_port << '>' << udp->dst_port << " len "
-         << udp->length;
     } else {
       os << "proto " << int{ip->protocol};
     }
-    if (ip->frag_offset != 0 || ip->more_fragments) {
-      os << " frag off " << ip->frag_offset
-         << (ip->more_fragments ? "+" : "");
-    }
   } else if (const auto* g = frame.header.get<gamma::GammaHeader>()) {
-    os << "GAMMA port " << int{g->port} << " seq " << g->seq
-       << ((g->flags & 0x4) ? " ACK" : "");
+    os << "GAMMA port " << int{g->port} << " seq " << g->seq;
   } else if (const auto* v = frame.header.get<via::ViaHeader>()) {
     os << "VIA vi " << v->vi_id << ((v->flags & 0x4) ? " RDMA" : "");
   } else if (const auto* nf = frame.header.get<hw::NicFragHeader>()) {

@@ -14,7 +14,7 @@
 namespace clicsim::apps {
 
 // One-line description of a frame: MACs, ethertype, decoded protocol
-// header (CLIC, IP/TCP, IP/UDP, GAMMA, VIA, NIC-fragment) and sizes.
+// header (CLIC, IP/TCP, GAMMA, VIA, NIC-fragment) and sizes.
 [[nodiscard]] std::string describe(const net::Frame& frame);
 
 // Captures traffic arriving at selected points of a cluster and renders a

@@ -391,15 +391,7 @@ constexpr int kStreamPort = 13;      // CLIC
 constexpr int kRpcTcpPort = 7000;
 constexpr int kStreamTcpPort = 7001;
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
+using sim::fnv1a_fold;
 
 void put_u32(std::vector<std::byte>& v, std::size_t off, std::uint32_t x) {
   for (int i = 0; i < 4; ++i) {
@@ -558,14 +550,14 @@ RpcResult fold_rpc(const RpcConfig& cfg, const RpcState& st,
                    std::uint64_t events, sim::SimTime finished) {
   RpcResult r;
   r.latency = sim::HdrHistogram(cfg.sig_digits);
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = sim::kFnvShortOffset;
   for (std::size_t c = 0; c < st.latency.size(); ++c) {
     for (std::size_t k = 0; k < st.latency[c].size(); ++k) {
       const sim::SimTime lat = st.latency[c][k];
       ++r.requests;
-      fnv(h, static_cast<std::uint64_t>(c));
-      fnv(h, static_cast<std::uint64_t>(k));
-      fnv(h, static_cast<std::uint64_t>(lat));
+      fnv1a_fold(h, static_cast<std::uint64_t>(c));
+      fnv1a_fold(h, static_cast<std::uint64_t>(k));
+      fnv1a_fold(h, static_cast<std::uint64_t>(lat));
       if (lat >= 0) {
         r.latency.add(lat);
         ++r.responses;
@@ -579,7 +571,7 @@ RpcResult fold_rpc(const RpcConfig& cfg, const RpcState& st,
   // The digest certifies workload-visible outcomes only: engine event
   // totals can differ by a no-op drain under retransmission storms at
   // high shard counts while every latency and clock stays bit-identical.
-  fnv(h, static_cast<std::uint64_t>(finished));
+  fnv1a_fold(h, static_cast<std::uint64_t>(finished));
   r.digest = h;
   return r;
 }
@@ -929,7 +921,7 @@ StreamingResult fold_streaming(
     std::uint64_t events, sim::SimTime finished) {
   StreamingResult r;
   r.latency = sim::HdrHistogram(cfg.sig_digits);
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = sim::kFnvShortOffset;
   for (const auto& jb : jbs) {  // stream index order
     r.frames += jb->frames_expected();
     r.on_time += jb->frames_on_time();
@@ -939,22 +931,22 @@ StreamingResult fold_streaming(
     r.in_flight += jb->pending_frames();
     r.max_depth = std::max(r.max_depth, jb->max_depth());
     r.latency.merge(jb->latency());
-    fnv(h, jb->frames_on_time());
-    fnv(h, jb->deadline_misses());
-    fnv(h, jb->late_fragments());
-    fnv(h, jb->duplicate_fragments());
-    fnv(h, static_cast<std::uint64_t>(jb->max_depth()));
-    fnv(h, jb->latency().count());
-    fnv(h, static_cast<std::uint64_t>(jb->latency().min()));
-    fnv(h, static_cast<std::uint64_t>(jb->latency().max()));
-    fnv(h, static_cast<std::uint64_t>(jb->latency().quantile(0.50)));
-    fnv(h, static_cast<std::uint64_t>(jb->latency().quantile(0.99)));
-    fnv(h, static_cast<std::uint64_t>(jb->latency().quantile(0.999)));
+    fnv1a_fold(h, jb->frames_on_time());
+    fnv1a_fold(h, jb->deadline_misses());
+    fnv1a_fold(h, jb->late_fragments());
+    fnv1a_fold(h, jb->duplicate_fragments());
+    fnv1a_fold(h, static_cast<std::uint64_t>(jb->max_depth()));
+    fnv1a_fold(h, jb->latency().count());
+    fnv1a_fold(h, static_cast<std::uint64_t>(jb->latency().min()));
+    fnv1a_fold(h, static_cast<std::uint64_t>(jb->latency().max()));
+    fnv1a_fold(h, static_cast<std::uint64_t>(jb->latency().quantile(0.50)));
+    fnv1a_fold(h, static_cast<std::uint64_t>(jb->latency().quantile(0.99)));
+    fnv1a_fold(h, static_cast<std::uint64_t>(jb->latency().quantile(0.999)));
   }
   r.finished_at = finished;
   r.events = events;
   // Workload-visible outcomes only; see fold_rpc on engine event totals.
-  fnv(h, static_cast<std::uint64_t>(finished));
+  fnv1a_fold(h, static_cast<std::uint64_t>(finished));
   r.digest = h;
   return r;
 }

@@ -11,7 +11,6 @@ namespace clicsim::gamma {
 namespace {
 constexpr std::uint8_t kFirst = 0x1;
 constexpr std::uint8_t kLast = 0x2;
-constexpr std::uint8_t kAck = 0x4;
 }  // namespace
 
 GammaModule::GammaModule(os::Node& node, Config config,
@@ -65,9 +64,7 @@ sim::Future<bool> GammaModule::send(int dst_node, int port,
       h.src_node = static_cast<std::uint16_t>(node_->id());
       if (first) h.flags |= kFirst;
       if (offset + len >= data.size()) h.flags |= kLast;
-
-      auto& peer = peers_[dst_node];
-      h.seq = peer.next_seq++;
+      h.seq = tx_next_[dst_node]++;
 
       emit(dst_node, h,
            len > 0 ? data.slice(offset, len) : net::Buffer::zeros(0),
@@ -92,18 +89,13 @@ void GammaModule::emit(int dst_node, GammaHeader header, net::Buffer payload,
   skb.sg_fragments = node_->nic(0).profile().scatter_gather ? 2 : 1;
   skb.references_user_memory = true;  // GAMMA sends from user pages
 
-  if (config_.reliable && !(header.flags & kAck)) {
-    peers_[dst_node].unacked.push_back(skb.to_frame());
-    arm_rto(dst_node);
-  }
-
   // Short-message fast path: programmed I/O straight into the card FIFO —
   // the CPU pays the (small) PCI transfer itself and no DMA setup occurs.
   // Only whole (single-fragment) messages qualify: a PIO'd tail fragment
   // would overtake its DMA'd predecessors and tear the message.
   const bool single_fragment =
       (header.flags & kFirst) && (header.flags & kLast);
-  if (config_.pio_threshold > 0 && (single_fragment || (header.flags & kAck)) &&
+  if (config_.pio_threshold > 0 && single_fragment &&
       skb.payload.size() <= config_.pio_threshold) {
     net::Frame frame = skb.to_frame();
     const sim::SimTime pio = node_->pci().transaction_time(
@@ -126,37 +118,6 @@ void GammaModule::emit(int dst_node, GammaHeader header, net::Buffer payload,
                    });
 }
 
-void GammaModule::arm_rto(int dst_node) {
-  auto& peer = peers_[dst_node];
-  if (peer.rto_timer != os::Kernel::kInvalidTimer) return;
-  peer.rto_timer = node_->kernel().add_timer(config_.rto, [this, dst_node] {
-    auto& p = peers_[dst_node];
-    p.rto_timer = os::Kernel::kInvalidTimer;
-    if (p.unacked.empty()) return;
-    ++retransmits_;
-    const net::Frame& f = p.unacked.front();
-    os::SkBuff rskb;
-    rskb.dst = f.dst;
-    rskb.src = f.src;
-    rskb.ethertype = f.ethertype;
-    rskb.header = f.header;
-    rskb.payload = f.payload;
-    node_->cpu().run(sim::CpuPriority::kKernel, config_.tx_cost,
-                     [this, rskb = std::move(rskb)]() mutable {
-                       node_->driver(0).xmit_or_queue(std::move(rskb));
-                     });
-    arm_rto(dst_node);  // keep retransmitting until acked
-  });
-}
-
-void GammaModule::send_ack(int dst_node, std::uint32_t seq) {
-  GammaHeader h;
-  h.flags = kAck;
-  h.src_node = static_cast<std::uint16_t>(node_->id());
-  h.seq = seq;
-  emit(dst_node, h, net::Buffer::zeros(0), {});
-}
-
 void GammaModule::packet_received(net::Frame frame, bool from_isr) {
   const auto prio =
       from_isr ? sim::CpuPriority::kInterrupt : sim::CpuPriority::kSoftirq;
@@ -164,47 +125,19 @@ void GammaModule::packet_received(net::Frame frame, bool from_isr) {
   if (h == nullptr) return;
   const int src = h->src_node;
 
-  if (h->flags & kAck) {
-    // Cumulative ack for the reliable mode.
-    auto& peer = peers_[src];
-    while (!peer.unacked.empty() &&
-           peer.unacked.front().header.get<GammaHeader>()->seq < h->seq) {
-      peer.unacked.pop_front();
-      ++peer.base;
+  // A sequence gap inside a message tears it: nothing is retransmitted, so
+  // the whole message is aborted.
+  auto& next = rx_next_[src];
+  const bool gap = h->seq != next && !(h->flags & kFirst);
+  next = h->seq + 1;
+  if (gap) {
+    auto pit = ports_.find(h->port);
+    if (pit != ports_.end()) {
+      pit->second.assembling.clear();
+      pit->second.assembling_src = -1;
     }
-    node_->kernel().cancel_timer(peer.rto_timer);
-    peer.rto_timer = os::Kernel::kInvalidTimer;
-    if (!peer.unacked.empty()) arm_rto(src);
+    ++dropped_;
     return;
-  }
-
-  if (config_.reliable) {
-    auto& next = rx_next_[src];
-    if (h->seq != next) {
-      // Go-back-N: drop out-of-order, re-ack.
-      send_ack(src, next);
-      return;
-    }
-    ++next;
-    if (++rx_acks_owed_[src] >= config_.ack_every || (h->flags & kLast)) {
-      rx_acks_owed_[src] = 0;
-      send_ack(src, next);
-    }
-  } else {
-    // Best-effort mode still detects a torn message: a sequence gap while
-    // assembling aborts the whole message (no retransmission exists).
-    auto& next = rx_next_[src];
-    const bool gap = h->seq != next && !(h->flags & kFirst);
-    next = h->seq + 1;
-    if (gap) {
-      auto pit = ports_.find(h->port);
-      if (pit != ports_.end()) {
-        pit->second.assembling.clear();
-        pit->second.assembling_src = -1;
-      }
-      ++dropped_;
-      return;
-    }
   }
 
   auto it = ports_.find(h->port);

@@ -7,9 +7,9 @@
 //  * active ports — the receive ISR dispatches straight into a per-port
 //    handler which moves data to user memory; no sk_buff, no bottom half,
 //    no wake-through-scheduler;
-//  * best-effort delivery on a dedicated switched LAN (GAMMA relied on the
-//    network being loss-free; an optional stop-and-wait-window reliability
-//    mode is provided for fault-injection tests);
+//  * best-effort delivery on a dedicated switched LAN: GAMMA relied on the
+//    network being loss-free, so nothing is acknowledged or retransmitted;
+//    a sequence gap aborts the message being assembled;
 //  * no multiprogramming protection and no intra-node messaging — the
 //    functional trade-offs the paper holds against it.
 #pragma once
@@ -34,15 +34,11 @@ struct Config {
   // GNIC-II): the CPU pushes small frames to the card by programmed I/O,
   // skipping DMA setup entirely. 0 disables.
   std::int64_t pio_threshold = 256;
-  bool reliable = false;  // simple go-back-N when the LAN is lossy
-  int window_packets = 32;
-  sim::SimTime rto = sim::milliseconds(3.0);
-  int ack_every = 8;
 };
 
 struct GammaHeader {
   std::uint8_t port = 0;
-  std::uint8_t flags = 0;  // bit0: first, bit1: last, bit2: ack
+  std::uint8_t flags = 0;  // bit0: first, bit1: last
   std::uint16_t src_node = 0;
   std::uint32_t seq = 0;
 };
@@ -79,7 +75,6 @@ class GammaModule : public os::ProtocolHandler {
   [[nodiscard]] std::uint64_t messages_sent() const { return tx_msgs_; }
   [[nodiscard]] std::uint64_t messages_received() const { return rx_msgs_; }
   [[nodiscard]] std::uint64_t dropped_no_port() const { return dropped_; }
-  [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }
   [[nodiscard]] os::Node& node() { return *node_; }
 
  private:
@@ -91,30 +86,19 @@ class GammaModule : public os::ProtocolHandler {
     std::deque<sim::Future<Message>> waiting;
   };
 
-  struct PeerTx {
-    std::uint32_t next_seq = 0;
-    std::uint32_t base = 0;
-    std::deque<net::Frame> unacked;  // reliable mode only
-    os::Kernel::TimerId rto_timer = os::Kernel::kInvalidTimer;
-  };
-
   void emit(int dst_node, GammaHeader header, net::Buffer payload,
             std::function<void()> on_done);
   void deliver(PortState& port, Message message);
-  void send_ack(int dst_node, std::uint32_t seq);
-  void arm_rto(int dst_node);
 
   os::Node* node_;
   Config config_;
   const os::AddressMap* addresses_;
   std::unordered_map<int, PortState> ports_;
-  std::unordered_map<int, PeerTx> peers_;
-  std::unordered_map<int, std::uint32_t> rx_next_;  // reliable mode
-  std::unordered_map<int, int> rx_acks_owed_;
+  std::unordered_map<int, std::uint32_t> tx_next_;  // per destination node
+  std::unordered_map<int, std::uint32_t> rx_next_;  // per source node
   std::uint64_t tx_msgs_ = 0;
   std::uint64_t rx_msgs_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t retransmits_ = 0;
 };
 
 }  // namespace clicsim::gamma

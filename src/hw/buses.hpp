@@ -49,8 +49,6 @@ class MemoryBus {
                        std::move(done));
   }
 
-  [[nodiscard]] double bytes_per_s() const { return bytes_per_s_; }
-
   // Bus pressure of a CPU copy: every copied byte is read and written.
   void copy_pressure(std::int64_t bytes) { traffic(2 * bytes); }
 

@@ -85,9 +85,6 @@ class Nic : public net::FrameSink {
 
   // Pops the next received frame from the host-visible RX ring.
   std::optional<net::Frame> rx_pop();
-  [[nodiscard]] int rx_pending() const {
-    return static_cast<int>(rx_queue_.size());
-  }
 
   // Dynamic coalescing adjustment (usecs == 0 / frames <= 1 disables).
   void set_coalescing(sim::SimTime usecs, int frames);

@@ -175,7 +175,6 @@ void NicCollectiveEngine::on_frame(net::Frame frame) {
   if (h->phase == 0) {
     // Fan-in: combine the child's contribution in firmware.
     ++st.up_seen;
-    ++combines_;
     st.acc_bytes = std::max(st.acc_bytes, frame.payload.size());
     advance_up(op, root, seq, st);
     return;

@@ -88,7 +88,6 @@ class NicCollectiveEngine {
 
   // --- Statistics ---------------------------------------------------------
   [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
-  [[nodiscard]] std::uint64_t combines() const { return combines_; }
   [[nodiscard]] std::uint64_t ops_completed() const { return ops_completed_; }
 
  private:
@@ -131,7 +130,6 @@ class NicCollectiveEngine {
   Params params_;
   std::unordered_map<std::uint64_t, Op> ops_;
   std::uint64_t frames_sent_ = 0;
-  std::uint64_t combines_ = 0;
   std::uint64_t ops_completed_ = 0;
 };
 

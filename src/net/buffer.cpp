@@ -69,11 +69,8 @@ std::uint64_t Buffer::checksum() const {
                       static_cast<std::uint64_t>(len_);
     return sim::splitmix64(x);
   }
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::byte b : data()) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = sim::kFnvOffset;
+  for (std::byte b : data()) h = sim::fnv1a(h, static_cast<std::uint8_t>(b));
   return h;
 }
 

@@ -98,8 +98,7 @@ class Buffer {
 };
 
 // Accumulates fragments in order and flattens them into one Buffer
-// (reassembly on the receive side of IP fragmentation, CLIC segmentation,
-// TCP streams).
+// (CLIC, GAMMA and NIC-firmware reassembly, TCP segments and streams).
 class BufferChain {
  public:
   void append(Buffer b);

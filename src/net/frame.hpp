@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "net/buffer.hpp"
+#include "sim/random.hpp"
 
 namespace clicsim::net {
 
@@ -37,11 +38,8 @@ struct MacAddr {
 
 struct MacAddrHash {
   std::size_t operator()(const MacAddr& m) const {
-    std::size_t h = 1469598103934665603ULL;
-    for (auto o : m.octets) {
-      h ^= o;
-      h *= 1099511628211ULL;
-    }
+    std::uint64_t h = sim::kFnvShortOffset;
+    for (auto o : m.octets) h = sim::fnv1a(h, o);
     return h;
   }
 };

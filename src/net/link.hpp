@@ -90,7 +90,6 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t duplicated() const { return duplicated_; }
   [[nodiscard]] std::uint64_t delayed() const { return delayed_; }
   [[nodiscard]] std::uint64_t burst_drops() const { return burst_drops_; }
-  [[nodiscard]] bool in_burst() const { return ge_enabled_ && ge_bad_; }
 
  private:
   double drop_prob_ = 0.0;

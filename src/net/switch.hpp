@@ -44,9 +44,6 @@ class Switch {
   void set_port_up(int port, bool up) {
     ports_.at(static_cast<std::size_t>(port))->up = up;
   }
-  [[nodiscard]] bool port_up(int port) const {
-    return ports_.at(static_cast<std::size_t>(port))->up;
-  }
 
   [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }
   [[nodiscard]] std::uint64_t flooded() const { return flooded_; }
@@ -60,7 +57,6 @@ class Switch {
   [[nodiscard]] std::uint64_t dropped_on(int port) const {
     return ports_.at(static_cast<std::size_t>(port))->drops;
   }
-  [[nodiscard]] std::size_t mac_table_size() const { return table_.size(); }
 
   // Flood pruning (the fabric's spanning tree): a port with flooding
   // disabled never receives flooded copies, but unicast frames with a
@@ -69,9 +65,6 @@ class Switch {
   // broadcast reaches every node exactly once and can never loop.
   void set_flood_enabled(int port, bool enabled) {
     ports_.at(static_cast<std::size_t>(port))->flood = enabled;
-  }
-  [[nodiscard]] bool flood_enabled(int port) const {
-    return ports_.at(static_cast<std::size_t>(port))->flood;
   }
 
   // The port a MAC was learned on; -1 when unknown.

@@ -73,9 +73,6 @@ class Cluster {
     return *switches_.at(static_cast<std::size_t>(s));
   }
   [[nodiscard]] net::Switch& ethernet_switch() { return *switches_.at(0); }
-  [[nodiscard]] net::Switch& switch_of_node(int i) {
-    return switch_at(plan_->leaf_of_node(i));
-  }
 
   [[nodiscard]] net::Link& link(int node, int nic = 0) {
     return *links_.at(static_cast<std::size_t>(
@@ -104,8 +101,6 @@ class Cluster {
   [[nodiscard]] sim::Simulator& sim_of_switch(int s) {
     return group_ != nullptr ? group_->shard(shard_of_switch(s)) : *sim_;
   }
-  // The simulator that owns switch 0 (the home simulator for the star).
-  [[nodiscard]] sim::Simulator& switch_sim() { return sim_of_switch(0); }
 
   [[nodiscard]] static net::MacAddr mac_of(int node, int nic = 0) {
     return net::MacAddr::node(

@@ -20,12 +20,29 @@ constexpr std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t hash_name(std::string_view name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+// FNV-1a: the byte-at-a-time hash behind stream names, payload checksums,
+// MAC-table hashing and the run digests the benches print.
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+// The offset basis with its last decimal digit dropped. MAC hashing and the
+// run digests start from it: the digests the benches print, and the layout
+// of MAC-keyed tables, depend on its value.
+inline constexpr std::uint64_t kFnvShortOffset = 1469598103934665603ULL;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+constexpr std::uint64_t fnv1a(std::uint64_t h, std::uint8_t byte) {
+  return (h ^ byte) * kFnvPrime;
+}
+
+// Folds the eight bytes of `v` into `h`, least significant first.
+constexpr void fnv1a_fold(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h = fnv1a(h, static_cast<std::uint8_t>(v >> (8 * i)));
   }
+}
+
+constexpr std::uint64_t hash_name(std::string_view name) {
+  std::uint64_t h = kFnvOffset;
+  for (char c : name) h = fnv1a(h, static_cast<std::uint8_t>(c));
   return h;
 }
 

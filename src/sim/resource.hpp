@@ -32,7 +32,6 @@ class FifoResource {
   // Returns the completion time.
   SimTime submit(SimTime duration, Action done = {});
 
-  [[nodiscard]] SimTime free_at() const { return free_at_; }
   [[nodiscard]] bool idle() const { return free_at_ <= sim_->now(); }
   [[nodiscard]] SimTime busy_time() const { return busy_ns_; }
   [[nodiscard]] std::uint64_t uses() const { return uses_; }

@@ -85,8 +85,6 @@ class Trigger {
     for (auto h : woken) sim_->after(0, [h] { h.resume(); });
   }
 
-  [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
-
  private:
   Simulator* sim_;
   std::vector<std::coroutine_handle<>> waiters_;
@@ -133,9 +131,6 @@ class Mailbox {
   };
 
   [[nodiscard]] PopAwaiter pop() noexcept { return PopAwaiter{*this, {}, {}}; }
-
-  [[nodiscard]] std::size_t size() const { return queue_.size(); }
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
 
  private:
   friend struct PopAwaiter;

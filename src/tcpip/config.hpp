@@ -16,7 +16,6 @@ struct Config {
   // --- IP layer -------------------------------------------------------------
   sim::SimTime ip_tx_cost = sim::microseconds(2.5);
   sim::SimTime ip_rx_cost = sim::microseconds(3.0);
-  sim::SimTime reassembly_timeout = sim::milliseconds(500);
 
   // --- TCP ------------------------------------------------------------------
   // Per-byte costs are calibrated so the TCP asymptotes land near the
@@ -39,15 +38,10 @@ struct Config {
   sim::SimTime rto_initial = sim::milliseconds(20.0);
   sim::SimTime rto_min = sim::milliseconds(5.0);
   int dupack_threshold = 3;
-
-  // --- UDP ------------------------------------------------------------------
-  sim::SimTime udp_tx_cost = sim::microseconds(3.0);
-  sim::SimTime udp_rx_cost = sim::microseconds(4.0);
 };
 
 inline constexpr std::int64_t kIpHeaderBytes = 20;
 inline constexpr std::int64_t kTcpHeaderBytes = 20;
-inline constexpr std::int64_t kUdpHeaderBytes = 8;
 
 // Static single-subnet addressing: node i owns 10.0.0.i (the cluster runs
 // one LAN; ARP is a static table, see os::AddressMap).

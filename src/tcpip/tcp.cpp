@@ -604,7 +604,6 @@ void TcpStack::datagram_received(int src_node, net::HeaderBlob l4,
                                  sim::CpuPriority prio) {
   const auto* h = l4.get<TcpHeader>();
   if (h == nullptr) return;
-  ++segments_rx_;
 
   // Per-segment receive processing: demux, checksum, stack traversal.
   auto& n = node();

@@ -199,9 +199,6 @@ class TcpStack : public IpTransport {
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] os::Node& node() { return ip_->node(); }
   [[nodiscard]] std::uint64_t segments_sent() const { return segments_tx_; }
-  [[nodiscard]] std::uint64_t segments_received() const {
-    return segments_rx_;
-  }
 
  private:
   friend class TcpSocket;
@@ -235,7 +232,6 @@ class TcpStack : public IpTransport {
   std::unordered_map<int, Listener> listeners_;
   int next_ephemeral_ = 10000;
   std::uint64_t segments_tx_ = 0;
-  std::uint64_t segments_rx_ = 0;
 };
 
 }  // namespace clicsim::tcpip

@@ -207,6 +207,19 @@ TEST(SweepRunner, RowsComeBackInAddOrder) {
   for (int i = 0; i < 32; ++i) EXPECT_EQ(rows[static_cast<std::size_t>(i)], i * i);
 }
 
+TEST(SweepRunner, DefaultWorkersLeaveTheCoresToShardThreads) {
+  // Without -j, sweep workers times shard threads stay within the cores:
+  // with one shard thread per core, every job runs on the calling thread.
+  apps::SweepRunner<std::thread::id> runner(apps::SweepOptions{
+      .jobs = 0, .shards = sim::ParallelExecutor::default_threads()});
+  for (int i = 0; i < 16; ++i) {
+    runner.add([] { return std::this_thread::get_id(); });
+  }
+  for (const auto id : runner.run()) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
 TEST(SweepArgs, ParsesJobFlagForms) {
   auto parse = [](std::vector<const char*> argv) {
     return apps::parse_sweep_args(static_cast<int>(argv.size()),

@@ -157,33 +157,6 @@ TEST(FailureModes, SimulationDrainsCleanlyAfterAbandonedTransfers) {
   EXPECT_LT(executed, 5000u);
 }
 
-TEST(FailureModes, UdpFloodOverwhelmsNothing) {
-  apps::TcpBed bed;
-  bed.udp[1]->bind(6000);
-  struct Run {
-    static sim::Task tx(tcpip::UdpStack& u) {
-      for (int i = 0; i < 300; ++i) {
-        (void)co_await u.sendto(6001, 1, 6000, net::Buffer::zeros(1200));
-      }
-    }
-    static sim::Task rx(tcpip::UdpStack& u, int* got) {
-      for (;;) {
-        (void)co_await u.recvfrom(6000);
-        ++*got;
-      }
-    }
-  };
-  int got = 0;
-  Run::tx(*bed.udp[0]);
-  Run::rx(*bed.udp[1], &got);
-  bed.sim.run_until(sim::seconds(1));
-  // Datagram service: whatever survives the rings arrives; no crash, and
-  // accounting is consistent.
-  EXPECT_GT(got, 200);
-  EXPECT_LE(static_cast<std::uint64_t>(got),
-            bed.udp[1]->datagrams_received());
-}
-
 TEST(FailureModes, GammaHandlerExceptionsAreNotOurProblemButDropsAre) {
   // A GAMMA port with no handler and no mailbox: traffic is counted as
   // dropped, and the module survives a follow-up registration.

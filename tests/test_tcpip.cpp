@@ -1,7 +1,10 @@
-// Tests for the TCP/IP baseline stack: IP fragmentation, TCP state machine
-// behaviours (handshake, flow/congestion control mechanics, Nagle, zero
-// windows, retransmission), and UDP.
+// Tests for the TCP/IP baseline stack: the IP layer's one-frame-per-datagram
+// contract and TCP state machine behaviours (handshake, flow/congestion
+// control mechanics, Nagle, zero windows, retransmission).
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <vector>
 
 #include "apps/testbed.hpp"
 #include "sim/task.hpp"
@@ -13,7 +16,7 @@ using apps::TcpBed;
 
 // --- IP layer ---------------------------------------------------------------------
 
-TEST(IpLayer, FragmentsAndReassemblesAcrossMtu) {
+TEST(IpLayer, RejectsDatagramsLargerThanTheMtu) {
   TcpBed bed;
   bed.cluster.set_mtu_all(1500);
 
@@ -26,36 +29,20 @@ TEST(IpLayer, FragmentsAndReassemblesAcrossMtu) {
   } sink;
   bed.ip[1]->register_transport(200, &sink);
 
-  net::Buffer payload = net::Buffer::pattern(10000, 3);
-  bed.ip[0]->send(1, 200, net::HeaderBlob::of(int{0}, 8), 8, payload);
+  // 20 bytes of IP and 20 of L4 header leave 1460 payload bytes per frame.
+  const std::int64_t room = 1500 - tcpip::kIpHeaderBytes - 20;
+  EXPECT_THROW(bed.ip[0]->send(1, 200, net::HeaderBlob::of(int{0}, 20), 20,
+                               net::Buffer::zeros(room + 1)),
+               std::invalid_argument);
+
+  net::Buffer payload = net::Buffer::pattern(room, 3);
+  EXPECT_NO_THROW(bed.ip[0]->send(1, 200, net::HeaderBlob::of(int{0}, 20), 20,
+                                  payload));
   bed.sim.run();
 
   ASSERT_EQ(sink.datagrams.size(), 1u);
   EXPECT_TRUE(sink.datagrams[0].content_equals(payload));
-  EXPECT_GT(bed.ip[0]->fragments_sent(), 6u);
-}
-
-TEST(IpLayer, ReassemblyTimeoutDropsIncompleteDatagrams) {
-  tcpip::Config cfg;
-  cfg.reassembly_timeout = sim::milliseconds(5);
-  TcpBed bed({}, cfg);
-  bed.cluster.set_mtu_all(1500);
-  // Drop one mid-datagram fragment; no transport retransmits raw IP.
-  bed.cluster.link(0).faults(0).drop_frame_index(3);
-
-  struct Sink : tcpip::IpTransport {
-    int count = 0;
-    void datagram_received(int, net::HeaderBlob, net::Buffer,
-                           sim::CpuPriority) override {
-      ++count;
-    }
-  } sink;
-  bed.ip[1]->register_transport(200, &sink);
-  bed.ip[0]->send(1, 200, net::HeaderBlob::of(int{0}, 8), 8,
-                  net::Buffer::zeros(10000));
-  bed.sim.run_until(sim::milliseconds(50));
-  EXPECT_EQ(sink.count, 0);
-  EXPECT_EQ(bed.ip[1]->reassembly_timeouts(), 1u);
+  EXPECT_EQ(bed.ip[0]->fragments_sent(), 1u);
 }
 
 // --- TCP ---------------------------------------------------------------------------
@@ -290,76 +277,6 @@ TEST(Tcp, ConnectToNonListeningPortTimesOutWithoutCrash) {
   Run::go(*bed.tcp[0], &completed);
   bed.sim.run_until(sim::seconds(2));
   EXPECT_FALSE(completed);  // never established (no RST modelling)
-}
-
-// --- UDP ---------------------------------------------------------------------------
-
-TEST(Udp, DatagramRoundTripWithIntegrity) {
-  TcpBed bed;
-  bed.udp[1]->bind(6000);
-  net::Buffer payload = net::Buffer::pattern(800, 2);
-  struct Run {
-    static sim::Task tx(tcpip::UdpStack& u, net::Buffer d) {
-      (void)co_await u.sendto(6001, 1, 6000, std::move(d));
-    }
-    static sim::Task rx(tcpip::UdpStack& u, net::Buffer expect, bool* ok) {
-      tcpip::UdpDatagram d = co_await u.recvfrom(6000);
-      *ok = d.src_node == 0 && d.src_port == 6001 &&
-            d.data.content_equals(expect);
-    }
-  };
-  bool ok = false;
-  Run::tx(*bed.udp[0], payload);
-  Run::rx(*bed.udp[1], payload, &ok);
-  bed.sim.run();
-  EXPECT_TRUE(ok);
-}
-
-TEST(Udp, LargeDatagramUsesIpFragmentation) {
-  TcpBed bed;
-  bed.cluster.set_mtu_all(1500);
-  bed.udp[1]->bind(6000);
-  net::Buffer payload = net::Buffer::pattern(20000, 8);
-  struct Run {
-    static sim::Task tx(tcpip::UdpStack& u, net::Buffer d) {
-      (void)co_await u.sendto(6001, 1, 6000, std::move(d));
-    }
-    static sim::Task rx(tcpip::UdpStack& u, net::Buffer expect, bool* ok) {
-      tcpip::UdpDatagram d = co_await u.recvfrom(6000);
-      *ok = d.data.content_equals(expect);
-    }
-  };
-  bool ok = false;
-  Run::tx(*bed.udp[0], payload);
-  Run::rx(*bed.udp[1], payload, &ok);
-  bed.sim.run();
-  EXPECT_TRUE(ok);
-}
-
-TEST(Udp, UnboundPortDrops) {
-  TcpBed bed;
-  struct Run {
-    static sim::Task tx(tcpip::UdpStack& u) {
-      (void)co_await u.sendto(6001, 1, 6000, net::Buffer::zeros(100));
-    }
-  };
-  Run::tx(*bed.udp[0]);
-  bed.sim.run();
-  EXPECT_EQ(bed.udp[1]->dropped_unbound(), 1u);
-}
-
-TEST(Udp, LossIsSilent) {
-  TcpBed bed;
-  bed.udp[1]->bind(6000);
-  bed.cluster.link(0).faults(0).drop_frame_index(0);
-  struct Run {
-    static sim::Task tx(tcpip::UdpStack& u) {
-      (void)co_await u.sendto(6001, 1, 6000, net::Buffer::zeros(100));
-    }
-  };
-  Run::tx(*bed.udp[0]);
-  bed.sim.run_until(sim::milliseconds(100));
-  EXPECT_EQ(bed.udp[1]->datagrams_received(), 0u);
 }
 
 }  // namespace
