@@ -411,29 +411,18 @@ ChaosReport run_tcp(const ChaosOptions& o) {
 }  // namespace
 
 void register_cluster_targets(sim::FaultPlan& plan, os::Cluster& cluster) {
-  // Whether a carrier needs one part or two depends only on whether the
-  // cable crosses shards — a leaf-local link whose two ends share a shard
-  // flips entirely on that shard's simulator.
+  // Each carrier half flips on the simulator that owns its sending end,
+  // switch side first (the primary part, which telemetry counts). Two parts
+  // at every shard count keep the engine's event total shard-invariant.
   auto add_carrier = [&plan](net::Link* link) {
-    if (!link->crosses_shards()) {
-      std::vector<sim::FaultPlan::Part> part(1);
-      part[0].sim = &link->end_sim(0);
-      part[0].fail = [link] { link->set_carrier_up(false); };
-      part[0].restore = [link] { link->set_carrier_up(true); };
-      plan.add_target("carrier " + link->name(), std::move(part));
-    } else {
-      // Cross-shard link: each carrier half flips on the shard that owns
-      // that sending end (switch side is the primary part, so telemetry
-      // and logging match the single-shard target exactly).
-      std::vector<sim::FaultPlan::Part> parts(2);
-      parts[0].sim = &link->end_sim(1);
-      parts[0].fail = [link] { link->set_carrier_up_from(1, false); };
-      parts[0].restore = [link] { link->set_carrier_up_from(1, true); };
-      parts[1].sim = &link->end_sim(0);
-      parts[1].fail = [link] { link->set_carrier_up_from(0, false); };
-      parts[1].restore = [link] { link->set_carrier_up_from(0, true); };
-      plan.add_target("carrier " + link->name(), std::move(parts));
+    std::vector<sim::FaultPlan::Part> parts(2);
+    for (int p = 0; p < 2; ++p) {
+      const int end = 1 - p;
+      parts[p].sim = &link->end_sim(end);
+      parts[p].fail = [link, end] { link->set_carrier_up_from(end, false); };
+      parts[p].restore = [link, end] { link->set_carrier_up_from(end, true); };
     }
+    plan.add_target("carrier " + link->name(), std::move(parts));
   };
   for (int i = 0; i < cluster.size(); ++i) {
     for (int j = 0; j < cluster.config().nics_per_node; ++j) {

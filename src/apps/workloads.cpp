@@ -568,9 +568,10 @@ RpcResult fold_rpc(const RpcConfig& cfg, const RpcState& st,
   }
   r.finished_at = finished;
   r.events = events;
-  // The digest certifies workload-visible outcomes only: engine event
-  // totals can differ by a no-op drain under retransmission storms at
-  // high shard counts while every latency and clock stays bit-identical.
+  // The digest certifies workload-visible outcomes only. Event totals are
+  // shard-invariant too (each fault-campaign carrier flips as two per-end
+  // parts at every shard count) and are compared beside the digest;
+  // folding them in would move every recorded digest.
   fnv1a_fold(h, static_cast<std::uint64_t>(finished));
   r.digest = h;
   return r;
@@ -774,11 +775,6 @@ RpcResult rpc_tcp(const Scenario& s, const RpcConfig& cfg) {
 
 namespace {
 
-struct FragGeometry {
-  int fragments = 0;               // per frame
-  std::int64_t payload_bytes = 0;  // per fragment, excluding the header
-};
-
 void validate_streaming(const StreamingConfig& cfg) {
   if (cfg.streams < 1 || cfg.frames_per_stream < 1 || cfg.frame_bytes < 1) {
     throw std::invalid_argument("streaming workload: empty stream set");
@@ -791,19 +787,10 @@ void validate_streaming(const StreamingConfig& cfg) {
   }
 }
 
-FragGeometry frag_geometry(const StreamingConfig& cfg) {
-  FragGeometry g;
-  g.payload_bytes = cfg.fragment_bytes - kWireHeaderBytes;
-  g.fragments = static_cast<int>((cfg.frame_bytes + g.payload_bytes - 1) /
-                                 g.payload_bytes);
-  return g;
-}
-
-std::int64_t frag_wire_size(const StreamingConfig& cfg, const FragGeometry& g,
-                            int index) {
-  const std::int64_t remaining =
-      cfg.frame_bytes - static_cast<std::int64_t>(index) * g.payload_bytes;
-  return kWireHeaderBytes + std::min(g.payload_bytes, remaining);
+// One frame's fragments; each also carries its own kWireHeaderBytes header.
+std::vector<net::Fragment> frame_fragments(const StreamingConfig& cfg) {
+  return net::fragments(cfg.frame_bytes,
+                        cfg.fragment_bytes - kWireHeaderBytes);
 }
 
 // Frame generation times are a pure function of (config, stream): the
@@ -820,19 +807,19 @@ sim::SimTime stream_phase(const StreamingConfig& cfg, int stream) {
 struct StreamClicRun {
   static sim::Task sender(sim::Simulator& sim, clic::ClicModule& mod,
                           const StreamingConfig& cfg, int stream,
-                          FragGeometry g) {
+                          const std::vector<net::Fragment>& frags) {
     const sim::SimTime t0 = stream_phase(cfg, stream);
     for (int k = 0; k < cfg.frames_per_stream; ++k) {
       const sim::SimTime gen = t0 + static_cast<sim::SimTime>(k) * cfg.cadence;
       if (gen > sim.now()) co_await sim::Delay{sim, gen - sim.now()};
-      for (int f = 0; f < g.fragments; ++f) {
+      for (std::size_t f = 0; f < frags.size(); ++f) {
         (void)co_await mod.send(
             kStreamPort, 0, kStreamPort,
-            wire_message(frag_wire_size(cfg, g, f),
+            wire_message(kWireHeaderBytes + frags[f].length,
                          static_cast<std::uint32_t>(stream),
                          static_cast<std::uint32_t>(k),
                          static_cast<std::uint32_t>(f),
-                         static_cast<std::uint32_t>(g.fragments)),
+                         static_cast<std::uint32_t>(frags.size())),
             clic::SendMode::kSync);
       }
     }
@@ -855,10 +842,11 @@ struct StreamClicRun {
 struct StreamTcpRun {
   static sim::Task server_conn(tcpip::TcpStack& stack,
                                std::vector<std::unique_ptr<JitterBuffer>>& jbs,
-                               const StreamingConfig& cfg, FragGeometry g) {
+                               const StreamingConfig& cfg,
+                               const std::vector<net::Fragment>& frags) {
     tcpip::TcpSocket* sock = co_await stack.accept(kStreamTcpPort);
     const auto count = static_cast<std::uint64_t>(cfg.frames_per_stream) *
-                       static_cast<std::uint64_t>(g.fragments);
+                       frags.size();
     for (std::uint64_t i = 0; i < count; ++i) {
       net::Buffer hdr = co_await sock->recv_exact(kWireHeaderBytes);
       if (hdr.size() < kWireHeaderBytes) co_return;
@@ -866,8 +854,7 @@ struct StreamTcpRun {
       const std::uint32_t stream = get_u32(d, 0);
       const std::uint32_t frame = get_u32(d, 4);
       const std::uint32_t frag = get_u32(d, 8);
-      const std::int64_t size =
-          frag_wire_size(cfg, g, static_cast<int>(frag));
+      const std::int64_t size = kWireHeaderBytes + frags.at(frag).length;
       if (size > kWireHeaderBytes) {
         (void)co_await sock->recv_exact(size - kWireHeaderBytes);
       }
@@ -877,7 +864,7 @@ struct StreamTcpRun {
 
   static sim::Task sender(sim::Simulator& sim, tcpip::TcpStack& stack,
                           const StreamingConfig& cfg, int stream,
-                          FragGeometry g) {
+                          const std::vector<net::Fragment>& frags) {
     auto& sock = stack.create_socket();
     const bool ok = co_await sock.connect(0, kStreamTcpPort);
     if (!ok) co_return;
@@ -885,13 +872,13 @@ struct StreamTcpRun {
     for (int k = 0; k < cfg.frames_per_stream; ++k) {
       const sim::SimTime gen = t0 + static_cast<sim::SimTime>(k) * cfg.cadence;
       if (gen > sim.now()) co_await sim::Delay{sim, gen - sim.now()};
-      for (int f = 0; f < g.fragments; ++f) {
+      for (std::size_t f = 0; f < frags.size(); ++f) {
         (void)co_await sock.send(
-            wire_message(frag_wire_size(cfg, g, f),
+            wire_message(kWireHeaderBytes + frags[f].length,
                          static_cast<std::uint32_t>(stream),
                          static_cast<std::uint32_t>(k),
                          static_cast<std::uint32_t>(f),
-                         static_cast<std::uint32_t>(g.fragments)));
+                         static_cast<std::uint32_t>(frags.size())));
       }
     }
   }
@@ -900,15 +887,15 @@ struct StreamTcpRun {
 // Builds node 0's jitter buffers with every frame's deadline pre-scheduled.
 std::vector<std::unique_ptr<JitterBuffer>> make_jitter_buffers(
     sim::Simulator& rx_sim, const StreamingConfig& cfg,
-    const FragGeometry& g) {
+    const std::vector<net::Fragment>& frags) {
   std::vector<std::unique_ptr<JitterBuffer>> jbs;
   for (int s = 0; s < cfg.streams; ++s) {
     auto jb = std::make_unique<JitterBuffer>(rx_sim, cfg.sig_digits);
     const sim::SimTime t0 = stream_phase(cfg, s);
     for (int k = 0; k < cfg.frames_per_stream; ++k) {
       const sim::SimTime gen = t0 + static_cast<sim::SimTime>(k) * cfg.cadence;
-      jb->expect_frame(static_cast<std::uint32_t>(k), g.fragments, gen,
-                       gen + cfg.deadline);
+      jb->expect_frame(static_cast<std::uint32_t>(k),
+                       static_cast<int>(frags.size()), gen, gen + cfg.deadline);
     }
     jbs.push_back(std::move(jb));
   }
@@ -945,7 +932,7 @@ StreamingResult fold_streaming(
   }
   r.finished_at = finished;
   r.events = events;
-  // Workload-visible outcomes only; see fold_rpc on engine event totals.
+  // Workload-visible outcomes only, as in fold_rpc.
   fnv1a_fold(h, static_cast<std::uint64_t>(finished));
   r.digest = h;
   return r;
@@ -959,7 +946,7 @@ StreamingResult streaming_clic(const Scenario& s, const StreamingConfig& cfg) {
   cc.nodes = cfg.streams + 1;
   ClicBed bed(cc, s.clic);
   bed.cluster.set_mtu_all(s.mtu);
-  const FragGeometry g = frag_geometry(cfg);
+  const std::vector<net::Fragment> frags = frame_fragments(cfg);
 
   std::optional<sim::FaultPlan> plan;
   if (cfg.fault_seed != 0) {
@@ -967,15 +954,16 @@ StreamingResult streaming_clic(const Scenario& s, const StreamingConfig& cfg) {
     arm_fault_campaign(*plan, bed.cluster, kFaultWindow);
   }
 
-  auto jbs = make_jitter_buffers(bed.sim_of(0), cfg, g);
+  auto jbs = make_jitter_buffers(bed.sim_of(0), cfg, frags);
   bed.module(0).bind_port(kStreamPort);
   const auto total = static_cast<std::uint64_t>(cfg.streams) *
                      static_cast<std::uint64_t>(cfg.frames_per_stream) *
-                     static_cast<std::uint64_t>(g.fragments);
+                     frags.size();
   StreamClicRun::receiver(bed.module(0), jbs, total);
   for (int st = 0; st < cfg.streams; ++st) {
     bed.module(st + 1).bind_port(kStreamPort);
-    StreamClicRun::sender(bed.sim_of(st + 1), bed.module(st + 1), cfg, st, g);
+    StreamClicRun::sender(bed.sim_of(st + 1), bed.module(st + 1), cfg, st,
+                          frags);
   }
   bed.run();
   return fold_streaming(cfg, jbs, bed.events_executed(), bed.now());
@@ -987,7 +975,7 @@ StreamingResult streaming_tcp(const Scenario& s, const StreamingConfig& cfg) {
   cc.nodes = cfg.streams + 1;
   TcpBed bed(cc, s.tcp);
   bed.cluster.set_mtu_all(s.mtu);
-  const FragGeometry g = frag_geometry(cfg);
+  const std::vector<net::Fragment> frags = frame_fragments(cfg);
 
   std::optional<sim::FaultPlan> plan;
   if (cfg.fault_seed != 0) {
@@ -995,14 +983,14 @@ StreamingResult streaming_tcp(const Scenario& s, const StreamingConfig& cfg) {
     arm_fault_campaign(*plan, bed.cluster, kFaultWindow);
   }
 
-  auto jbs = make_jitter_buffers(bed.sim_of(0), cfg, g);
+  auto jbs = make_jitter_buffers(bed.sim_of(0), cfg, frags);
   bed.tcp[0]->listen(kStreamTcpPort);
   for (int st = 0; st < cfg.streams; ++st) {
-    StreamTcpRun::server_conn(*bed.tcp[0], jbs, cfg, g);
-    bed.sim_of(st + 1).at(0, [&bed, &cfg, &g, st] {
+    StreamTcpRun::server_conn(*bed.tcp[0], jbs, cfg, frags);
+    bed.sim_of(st + 1).at(0, [&bed, &cfg, &frags, st] {
       StreamTcpRun::sender(bed.sim_of(st + 1),
                            *bed.tcp[static_cast<std::size_t>(st + 1)], cfg, st,
-                           g);
+                           frags);
     });
   }
   bed.run();

@@ -10,7 +10,9 @@
 //
 // seq/ack run per node-pair channel (cumulative acknowledgement with
 // piggybacking); message framing uses the first/last-fragment flag bits on
-// the in-order reliable channel.
+// the in-order reliable channel. Broadcast/multicast datagrams bypass the
+// channel: their seq counts the sender's datagram frames, so a receiver
+// sees a lost frame as a hole.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,7 @@ struct ClicHeader {
   std::uint8_t src_port = 0;
   std::uint8_t dst_port = 0;
   std::uint32_t seq = 0;  // packet sequence on the (src,dst) node channel
+                          // (datagrams: the sender's datagram frame count)
   std::uint32_t ack = 0;  // cumulative: all packets < ack received
 };
 

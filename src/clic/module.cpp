@@ -19,29 +19,6 @@ std::uint64_t reassembly_key(int peer, std::uint8_t src_port,
          (static_cast<std::uint64_t>(src_port) << 8) | dst_port;
 }
 
-// One frame's slice of a message.
-struct Fragment {
-  std::int64_t offset;
-  std::int64_t length;
-};
-
-// Splits a `size`-byte message into frames of at most `chunk` payload
-// bytes. The upper-layer header rides on the first fragment and counts
-// against its budget. An empty message is one empty fragment.
-std::vector<Fragment> fragments(std::int64_t size, std::int64_t chunk,
-                                std::int64_t upper_bytes) {
-  std::vector<Fragment> out;
-  std::int64_t offset = 0;
-  do {
-    const std::int64_t budget =
-        out.empty() ? std::max<std::int64_t>(chunk - upper_bytes, 1) : chunk;
-    const std::int64_t length = std::min(budget, size - offset);
-    out.push_back({offset, length});
-    offset += length;
-  } while (offset < size);
-  return out;
-}
-
 }  // namespace
 
 ClicModule::ClicModule(os::Node& node, Config config,
@@ -145,8 +122,8 @@ sim::Future<SendStatus> ClicModule::send(int src_port, int dst_node,
   kernel().syscall([this, src_port, dst_node, dst_port,
                     data = std::move(data), mode, type,
                     meta = std::move(meta), result]() mutable {
-    const std::vector<Fragment> frags =
-        fragments(data.size(), chunk_bytes(), meta.wire_bytes());
+    const std::vector<net::Fragment> frags =
+        net::fragments(data.size(), chunk_bytes(), meta.wire_bytes());
     std::deque<Packet> packets;
     for (std::size_t i = 0; i < frags.size(); ++i) {
       const auto [offset, len] = frags[i];
@@ -170,92 +147,86 @@ sim::Future<SendStatus> ClicModule::send(int src_port, int dst_node,
   return result;
 }
 
+// A message's packets on their way into the reliable channel. Each is
+// charged the module's per-packet cost and its TX-path preparation in turn,
+// so emission overlaps DMA of earlier packets.
+struct ClicModule::Outgoing : std::enable_shared_from_this<Outgoing> {
+  Outgoing(ClicModule* m, int dst, SendMode md, sim::Future<SendStatus> r,
+           std::deque<Packet> p)
+      : module(m), dst_node(dst), mode(md), result(std::move(r)),
+        packets(std::move(p)) {}
+
+  ClicModule* module;
+  int dst_node;
+  SendMode mode;
+  sim::Future<SendStatus> result;
+  std::deque<Packet> packets;
+  Packet current;         // the packet being prepared
+  bool aborted = false;   // channel gave up on an earlier fragment
+  bool finished = false;  // result future already resolved
+
+  void next();
+};
+
 void ClicModule::send_packets(int dst_node, std::deque<Packet> packets,
                               SendMode mode,
                               sim::Future<SendStatus> result) {
-  struct State {
-    std::deque<Packet> packets;
-    int dma_remaining = 0;
-    bool aborted = false;   // channel gave up on an earlier fragment
-    bool finished = false;  // result future already resolved
-  };
-  auto state = std::make_shared<State>();
-  state->packets = std::move(packets);
-  state->dma_remaining = static_cast<int>(state->packets.size());
-
-  auto finish = [this, result](bool ok) mutable {
-    kernel().syscall_return([result, ok]() mutable {
-      result.set(SendStatus{ok, ok ? SendError::kNone : SendError::kTimedOut});
-    });
-  };
-
-  // Completion wiring by mode.
   if (mode == SendMode::kSync) {
-    for (auto& p : state->packets) {
-      p.on_descriptor_done = [state, finish]() mutable {
-        if (--state->dma_remaining == 0) finish(true);
-      };
-    }
+    const auto done = sim::make_join(
+        static_cast<int>(packets.size()),
+        [this, result] { finish_send(result, true); });
+    for (auto& p : packets) p.on_descriptor_done = done;
   }
+  std::make_shared<Outgoing>(this, dst_node, mode, std::move(result),
+                             std::move(packets))
+      ->next();
+}
 
-  // Per-packet kernel processing: CLIC_MODULE header build + data-path
-  // preparation, then the packet enters the reliable channel. Packets are
-  // processed sequentially, so emission overlaps DMA of earlier packets.
-  auto process_next = std::make_shared<std::function<void()>>();
-  *process_next = [this, state, dst_node, mode, finish,
-                   process_next]() mutable {
-    if (state->aborted) {
-      // The channel abandoned an earlier fragment of this message (retry
-      // budget exhausted). Submitting the rest would hand the peer a
-      // message with a hole, so the remainder is dropped here; the result
-      // future already resolved as failed.
-      *process_next = nullptr;
-      return;
-    }
-    if (state->packets.empty()) {
-      if (mode == SendMode::kAsync) finish(true);
-      // Break the shared_ptr cycle now that processing is complete.
-      *process_next = nullptr;
-      return;
-    }
-    Packet p = std::move(state->packets.front());
-    state->packets.pop_front();
-    const bool last = state->packets.empty();
+void ClicModule::Outgoing::next() {
+  if (aborted) {
+    // The channel abandoned an earlier fragment of this message (retry
+    // budget exhausted). Submitting the rest would hand the peer a message
+    // with a hole, so the remainder is dropped here; the result future
+    // already resolved as failed.
+    return;
+  }
+  if (packets.empty()) {
+    if (mode == SendMode::kAsync) module->finish_send(result, true);
+    return;
+  }
+  current = std::move(packets.front());
+  packets.pop_front();
+  const bool last = packets.empty();
 
-    node_->cpu().run(
-        sim::CpuPriority::kKernel, config_.module_tx_cost,
-        [this, state, p = std::move(p), dst_node, mode, last, finish,
-         process_next]() mutable {
-          // prepare_packet_data needs a stable Packet; keep it in a shared
-          // holder across the asynchronous cost charge.
-          auto holder = std::make_shared<Packet>(std::move(p));
-          prepare_packet_data(*holder,
-                              [this, state, holder, dst_node, mode, last,
-                               finish, process_next]() mutable {
-                                Channel::SendCallback on_result;
-                                if (mode == SendMode::kConfirmed) {
-                                  // Every fragment reports back: the last
-                                  // one resolves the send, and any
-                                  // abandoned fragment fails it early and
-                                  // stops the rest of the message.
-                                  on_result = [state, finish,
-                                               last](bool ok) mutable {
-                                    if (!ok) state->aborted = true;
-                                    if (state->finished) return;
-                                    if (last || !ok) {
-                                      state->finished = true;
-                                      finish(ok);
-                                    }
-                                  };
-                                }
-                                channel(dst_node)
-                                    .send(std::move(*holder),
-                                          std::move(on_result));
-                                (*process_next)();
-                              });
+  // CLIC_MODULE header build, then the data-path preparation (Figure 1),
+  // then the packet enters the reliable channel.
+  module->node_->cpu().run(
+      sim::CpuPriority::kKernel, module->config_.module_tx_cost,
+      [self = shared_from_this(), last] {
+        self->module->prepare_packet_data(self->current, [self, last] {
+          Channel::SendCallback on_result;
+          if (self->mode == SendMode::kConfirmed) {
+            // Every fragment reports back: the last one resolves the send,
+            // and any abandoned fragment fails it early and stops the rest
+            // of the message.
+            on_result = [self, last](bool ok) {
+              if (!ok) self->aborted = true;
+              if (self->finished || (ok && !last)) return;
+              self->finished = true;
+              self->module->finish_send(self->result, ok);
+            };
+          }
+          self->module->channel(self->dst_node)
+              .send(std::move(self->current), std::move(on_result));
+          self->next();
         });
-  };
-  (*process_next)();
+      });
+}
+
+void ClicModule::finish_send(sim::Future<SendStatus> result, bool ok) {
+  kernel().syscall_return([result, ok]() mutable {
+    result.set(SendStatus{ok, ok ? SendError::kNone : SendError::kTimedOut});
+  });
 }
 
 void ClicModule::prepare_packet_data(Packet& packet,
@@ -459,13 +430,11 @@ sim::Future<SendStatus> ClicModule::datagram_to(net::MacAddr dst,
 
   kernel().syscall([this, dst, src_port, dst_port, data = std::move(data),
                     meta = std::move(meta), result]() mutable {
-    const std::vector<Fragment> frags =
-        fragments(data.size(), chunk_bytes(), meta.wire_bytes());
-    auto dma_remaining = std::make_shared<std::size_t>(frags.size());
-
-    auto finish = [this, result]() mutable {
-      kernel().syscall_return([result]() mutable { result.set({true}); });
-    };
+    const std::vector<net::Fragment> frags =
+        net::fragments(data.size(), chunk_bytes(), meta.wire_bytes());
+    const auto done =
+        sim::make_join(static_cast<int>(frags.size()),
+                       [this, result] { finish_send(result, true); });
 
     for (std::size_t i = 0; i < frags.size(); ++i) {
       const auto [offset, len] = frags[i];
@@ -473,7 +442,7 @@ sim::Future<SendStatus> ClicModule::datagram_to(net::MacAddr dst,
       h.type = PacketType::kBroadcast;
       h.src_port = static_cast<std::uint8_t>(src_port);
       h.dst_port = static_cast<std::uint8_t>(dst_port);
-      h.seq = static_cast<std::uint32_t>(i);
+      h.seq = datagram_seq_++;
       if (i == 0) h.flags |= flags::kFirstFragment;
       if (i + 1 == frags.size()) h.flags |= flags::kLastFragment;
 
@@ -491,11 +460,8 @@ sim::Future<SendStatus> ClicModule::datagram_to(net::MacAddr dst,
       node_->cpu().run(
           sim::CpuPriority::kKernel,
           config_.module_tx_cost + config_.driver_tx_cost,
-          [this, skb = std::move(skb), dma_remaining, finish]() mutable {
-            node_->driver(0).xmit_or_queue(
-                std::move(skb), [dma_remaining, finish]() mutable {
-                  if (--*dma_remaining == 0) finish();
-                });
+          [this, skb = std::move(skb), done]() mutable {
+            node_->driver(0).xmit_or_queue(std::move(skb), done);
           });
     }
   });
@@ -505,16 +471,17 @@ sim::Future<SendStatus> ClicModule::datagram_to(net::MacAddr dst,
 void ClicModule::handle_broadcast(int peer, const ClicHeader& header,
                                   net::HeaderBlob upper, net::Buffer payload,
                                   sim::CpuPriority prio) {
-  const std::uint64_t key = reassembly_key(peer, header.src_port,
-                                           header.dst_port, true);
-  auto& re = reassembly_[key];
-  if (header.flags & flags::kFirstFragment) {
-    re.chain.clear();
-    re.meta = std::move(upper);
-    re.copy.reset();
-    re.copied = 0;
-  }
-  re.chain.append(std::move(payload));
+  auto& re = reassembly_[reassembly_key(peer, header.src_port,
+                                        header.dst_port, true)];
+  const bool first = (header.flags & flags::kFirstFragment) != 0;
+  // Nothing retransmits a datagram: a hole in the sender's datagram frame
+  // sequence inside a message means a lost frame, and the torn message is
+  // dropped.
+  auto& next = datagram_next_[peer];
+  if (!first && header.seq != next) re.assembler.abort();
+  next = header.seq + 1;
+  if (!re.assembler.add(std::move(payload), first)) return;
+  if (first) re.meta = std::move(upper);
   if (!(header.flags & flags::kLastFragment)) return;
 
   Message m;
@@ -523,8 +490,7 @@ void ClicModule::handle_broadcast(int peer, const ClicHeader& header,
   m.dst_port = header.dst_port;
   m.type = PacketType::kBroadcast;
   m.meta = std::move(re.meta);
-  m.data = re.chain.flatten();
-  reassembly_.erase(key);
+  m.data = re.assembler.finish();
   ++messages_received_;
   bytes_received_ += m.data.size();
   deliver_message(std::move(m), prio);
@@ -617,16 +583,15 @@ void ClicModule::packet_received(net::Frame frame, bool from_isr) {
 void ClicModule::deliver(int peer, Packet packet) {
   const std::int64_t frag_bytes = packet.payload.size();
   bytes_received_ += frag_bytes;
-  const std::uint64_t key = reassembly_key(peer, packet.header.src_port,
-                                           packet.header.dst_port, false);
-  auto& re = reassembly_[key];
-  if (packet.header.flags & flags::kFirstFragment) {
-    re.chain.clear();
+  auto& re = reassembly_[reassembly_key(peer, packet.header.src_port,
+                                        packet.header.dst_port, false)];
+  const bool first = (packet.header.flags & flags::kFirstFragment) != 0;
+  if (!re.assembler.add(std::move(packet.payload), first)) return;
+  if (first) {
     re.meta = std::move(packet.upper);
     re.copy.reset();
     re.copied = 0;
   }
-  re.chain.append(std::move(packet.payload));
 
   // If a process is already blocked in recv on this port, the module copies
   // each packet straight to its user memory as it arrives — the copy then
@@ -652,10 +617,9 @@ void ClicModule::deliver(int peer, Packet packet) {
   m.dst_port = packet.header.dst_port;
   m.type = packet.header.type;
   m.meta = std::move(re.meta);
-  m.data = re.chain.flatten();
+  m.data = re.assembler.finish();
   auto copy = std::move(re.copy);
   const std::int64_t copied = re.copied;
-  reassembly_.erase(key);
   ++messages_received_;
 
   switch (m.type) {

@@ -178,8 +178,10 @@ class ClicModule : public os::ProtocolHandler, private ChannelOps {
   // copy semantics, then runs `next` (still in kernel context).
   void prepare_packet_data(Packet& packet, std::function<void()> next);
 
+  struct Outgoing;
   void send_packets(int dst_node, std::deque<Packet> packets, SendMode mode,
                     sim::Future<SendStatus> result);
+  void finish_send(sim::Future<SendStatus> result, bool ok);
   sim::Future<SendStatus> datagram_to(net::MacAddr dst, int src_port,
                                       int dst_port, net::Buffer data,
                                       net::HeaderBlob meta);
@@ -207,7 +209,7 @@ class ClicModule : public os::ProtocolHandler, private ChannelOps {
   // user memory immediately (Figure 3: "_MODULE moves the data to the user
   // memory of that process"), so copies overlap later packets' DMA.
   struct Reassembly {
-    net::BufferChain chain;
+    net::MessageAssembler assembler;
     net::HeaderBlob meta;  // upper header from the first fragment
     std::shared_ptr<os::CopyChain> copy;
     std::int64_t copied = 0;
@@ -216,6 +218,10 @@ class ClicModule : public os::ProtocolHandler, private ChannelOps {
   std::unordered_map<int, std::unique_ptr<Channel>> channels_;
   std::unordered_map<int, PortState> ports_;
   std::unordered_map<std::uint64_t, Reassembly> reassembly_;
+  // Datagram frame numbering: the seq this node sends next, and the seq
+  // expected next from each sender (a hole inside a message tears it).
+  std::uint32_t datagram_seq_ = 0;
+  std::unordered_map<int, std::uint32_t> datagram_next_;
   std::unordered_map<int, Region> regions_;
   std::unordered_map<int, std::function<void(Message)>> kernel_fns_;
 

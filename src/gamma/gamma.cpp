@@ -1,8 +1,7 @@
 #include "gamma/gamma.hpp"
 
-#include <algorithm>
-#include <memory>
 #include <utility>
+#include <vector>
 
 #include "os/skbuff.hpp"
 
@@ -23,23 +22,19 @@ GammaModule::GammaModule(os::Node& node, Config config,
   }
 }
 
-void GammaModule::register_port(int port,
-                                std::function<void(Message)> handler) {
-  ports_[port].handler = std::move(handler);
+GammaModule::PortState& GammaModule::port_state(int port) {
+  return ports_.try_emplace(port, node_->sim()).first->second;
 }
 
-void GammaModule::open_mailbox_port(int port) { ports_[port]; }
+void GammaModule::register_port(int port,
+                                std::function<void(Message)> handler) {
+  port_state(port).handler = std::move(handler);
+}
 
-sim::Future<Message> GammaModule::recv(int port) {
-  sim::Future<Message> future(node_->sim());
-  auto& ps = ports_[port];
-  if (!ps.queue.empty()) {
-    future.set(std::move(ps.queue.front()));
-    ps.queue.pop_front();
-  } else {
-    ps.waiting.push_back(future);
-  }
-  return future;
+void GammaModule::open_mailbox_port(int port) { port_state(port); }
+
+sim::Mailbox<Message>::PopAwaiter GammaModule::recv(int port) {
+  return port_state(port).mailbox.pop();
 }
 
 sim::Future<bool> GammaModule::send(int dst_node, int port,
@@ -50,30 +45,21 @@ sim::Future<bool> GammaModule::send(int dst_node, int port,
   // Lightweight system call: reduced trap, no scheduler on return.
   node_->kernel().light_syscall([this, dst_node, port, data = std::move(data),
                                  result]() mutable {
-    const std::int64_t chunk = node_->nic(0).mtu() - kGammaHeaderBytes;
-    const std::int64_t total = std::max<std::int64_t>(data.size(), 1);
-    const int count = static_cast<int>((total + chunk - 1) / chunk);
-    auto remaining = std::make_shared<int>(count);
-
-    std::int64_t offset = 0;
-    bool first = true;
-    do {
-      const std::int64_t len = std::min(chunk, data.size() - offset);
+    const std::vector<net::Fragment> frags =
+        net::fragments(data.size(), node_->nic(0).mtu() - kGammaHeaderBytes);
+    const auto done = sim::make_join(static_cast<int>(frags.size()),
+                                     [result]() mutable { result.set(true); });
+    for (std::size_t i = 0; i < frags.size(); ++i) {
+      const auto [offset, len] = frags[i];
       GammaHeader h;
       h.port = static_cast<std::uint8_t>(port);
       h.src_node = static_cast<std::uint16_t>(node_->id());
-      if (first) h.flags |= kFirst;
-      if (offset + len >= data.size()) h.flags |= kLast;
+      if (i == 0) h.flags |= kFirst;
+      if (i + 1 == frags.size()) h.flags |= kLast;
       h.seq = tx_next_[dst_node]++;
-
       emit(dst_node, h,
-           len > 0 ? data.slice(offset, len) : net::Buffer::zeros(0),
-           [remaining, result]() mutable {
-             if (--*remaining == 0) result.set(true);
-           });
-      offset += len;
-      first = false;
-    } while (offset < data.size());
+           len > 0 ? data.slice(offset, len) : net::Buffer::zeros(0), done);
+    }
   });
   return result;
 }
@@ -126,26 +112,18 @@ void GammaModule::packet_received(net::Frame frame, bool from_isr) {
   const int src = h->src_node;
 
   // A sequence gap inside a message tears it: nothing is retransmitted, so
-  // the whole message is aborted.
+  // the source's message on this port is aborted.
   auto& next = rx_next_[src];
   const bool gap = h->seq != next && !(h->flags & kFirst);
   next = h->seq + 1;
-  if (gap) {
-    auto pit = ports_.find(h->port);
-    if (pit != ports_.end()) {
-      pit->second.assembling.clear();
-      pit->second.assembling_src = -1;
-    }
-    ++dropped_;
-    return;
-  }
-
   auto it = ports_.find(h->port);
-  if (it == ports_.end()) {
+  if (gap || it == ports_.end()) {
+    if (it != ports_.end()) it->second.from[src].abort();
     ++dropped_;
     return;
   }
   PortState& ps = it->second;
+  net::MessageAssembler& re = ps.from[src];
 
   // The active-port handler runs straight from the ISR: it moves the data
   // to user memory (charged at interrupt priority) and, on the last
@@ -154,40 +132,20 @@ void GammaModule::packet_received(net::Frame frame, bool from_isr) {
   node_->mem().copy_pressure(bytes);
   node_->cpu().run(
       prio, config_.handler_cost + node_->cpu().copy_cost(bytes),
-      [this, &ps, src, header = *h,
+      [this, &ps, &re, src, header = *h,
        payload = std::move(frame.payload)]() mutable {
-        if (header.flags & kFirst) {
-          ps.assembling.clear();
-          ps.assembling_src = src;
-        } else if (ps.assembling_src < 0) {
+        if (!re.add(std::move(payload), (header.flags & kFirst) != 0)) {
           return;  // tail fragments of a torn message
         }
-        ps.assembling.append(std::move(payload));
         if (!(header.flags & kLast)) return;
-
-        Message m;
-        m.src_node = ps.assembling_src;
-        m.port = header.port;
-        m.data = ps.assembling.flatten();
-        ps.assembling.clear();
-        ps.assembling_src = -1;
         ++rx_msgs_;
-        deliver(ps, std::move(m));
+        Message m{src, header.port, re.finish()};
+        if (ps.handler) {
+          ps.handler(std::move(m));
+        } else {
+          ps.mailbox.push(std::move(m));
+        }
       });
-}
-
-void GammaModule::deliver(PortState& port, Message message) {
-  if (port.handler) {
-    port.handler(std::move(message));
-    return;
-  }
-  if (!port.waiting.empty()) {
-    auto future = std::move(port.waiting.front());
-    port.waiting.pop_front();
-    future.set(std::move(message));
-    return;
-  }
-  port.queue.push_back(std::move(message));
 }
 
 }  // namespace clicsim::gamma

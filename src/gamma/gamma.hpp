@@ -9,13 +9,13 @@
 //    no wake-through-scheduler;
 //  * best-effort delivery on a dedicated switched LAN: GAMMA relied on the
 //    network being loss-free, so nothing is acknowledged or retransmitted;
-//    a sequence gap aborts the message being assembled;
+//    each (port, source) pair assembles its own message, and a sequence gap
+//    from a source aborts that source's message;
 //  * no multiprogramming protection and no intra-node messaging — the
 //    functional trade-offs the paper holds against it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
@@ -59,10 +59,10 @@ class GammaModule : public os::ProtocolHandler {
   // complete message has been placed in user memory.
   void register_port(int port, std::function<void(Message)> handler);
 
-  // Convenience for sequential code: messages on `port` are queued and
-  // awaited (the handler still runs at interrupt priority first).
+  // Convenience for sequential code: messages on a port without a handler
+  // queue in a mailbox and are awaited with recv().
   void open_mailbox_port(int port);
-  [[nodiscard]] sim::Future<Message> recv(int port);
+  [[nodiscard]] sim::Mailbox<Message>::PopAwaiter recv(int port);
 
   // Sends via a lightweight system call; completes when the last packet's
   // DMA descriptor finished.
@@ -79,16 +79,15 @@ class GammaModule : public os::ProtocolHandler {
 
  private:
   struct PortState {
+    explicit PortState(sim::Simulator& sim) : mailbox(sim) {}
     std::function<void(Message)> handler;
-    net::BufferChain assembling;
-    int assembling_src = -1;
-    std::deque<Message> queue;                // mailbox mode
-    std::deque<sim::Future<Message>> waiting;
+    std::unordered_map<int, net::MessageAssembler> from;  // per source node
+    sim::Mailbox<Message> mailbox;  // used when there is no handler
   };
 
+  PortState& port_state(int port);
   void emit(int dst_node, GammaHeader header, net::Buffer payload,
             std::function<void()> on_done);
-  void deliver(PortState& port, Message message);
 
   os::Node* node_;
   Config config_;

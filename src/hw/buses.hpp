@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "hw/params.hpp"
@@ -21,21 +19,6 @@
 #include "sim/time.hpp"
 
 namespace clicsim::hw {
-
-// Invokes `done` once `count` completions have arrived. Returns a copyable
-// std::function on purpose — the join is handed to several parties; each
-// copy converts to a sim::Action (16-byte shared_ptr capture) at the point
-// of use.
-inline std::function<void()> make_join(int count, sim::Action done) {
-  struct State {
-    int remaining;
-    sim::Action done;
-  };
-  auto state = std::make_shared<State>(State{count, std::move(done)});
-  return [state] {
-    if (--state->remaining == 0 && state->done) state->done();
-  };
-}
 
 class MemoryBus {
  public:

@@ -113,22 +113,12 @@ void Nic::transmit_wire_frames(net::Frame frame) {
   // per fragment and does not touch the host CPU.
   const std::uint64_t id = next_frag_id_++;
   const std::int64_t total = frame.payload.size();
-  const std::int64_t first_room =
-      mtu_ - kNicFragHeaderBytes - frame.header.wire_bytes();
-  const std::int64_t rest_room = mtu_ - kNicFragHeaderBytes;
-  if (first_room <= 0 || rest_room <= 0) {
+  const std::int64_t upper = frame.header.wire_bytes();
+  if (mtu_ - kNicFragHeaderBytes - upper <= 0) {
     throw std::logic_error("Nic: MTU too small for fragmentation headers");
   }
-
-  std::vector<std::pair<std::int64_t, std::int64_t>> ranges;  // offset, len
-  std::int64_t off = 0;
-  ranges.emplace_back(0, std::min(first_room, total));
-  off = ranges.back().second;
-  while (off < total) {
-    const std::int64_t len = std::min(rest_room, total - off);
-    ranges.emplace_back(off, len);
-    off += len;
-  }
+  const std::vector<net::Fragment> ranges =
+      net::fragments(total, mtu_ - kNicFragHeaderBytes, upper);
 
   const auto count = static_cast<std::int32_t>(ranges.size());
   sim::SimTime firmware_clock = 0;
@@ -144,10 +134,9 @@ void Nic::transmit_wire_frames(net::Frame frame) {
     wire.dst = frame.dst;
     wire.src = frame.src;
     wire.ethertype = frame.ethertype;
-    wire.payload = frame.payload.slice(ranges[static_cast<std::size_t>(i)].first,
-                                       ranges[static_cast<std::size_t>(i)].second);
-    const std::int64_t hdr_bytes =
-        kNicFragHeaderBytes + (i == 0 ? frame.header.wire_bytes() : 0);
+    const net::Fragment& range = ranges[static_cast<std::size_t>(i)];
+    wire.payload = frame.payload.slice(range.offset, range.length);
+    const std::int64_t hdr_bytes = kNicFragHeaderBytes + (i == 0 ? upper : 0);
     wire.header = net::HeaderBlob::of(std::move(fh), hdr_bytes);
 
     firmware_clock += sim::transfer_time(wire.payload.size(),

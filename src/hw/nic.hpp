@@ -10,8 +10,10 @@
 // Capabilities per NicProfile: jumbo MTU, scatter/gather (0-copy), dynamic
 // coalescing, and optional firmware fragmentation/reassembly — the paper's
 // "future work" feature from Gilfeather & Underwood [11]: the host hands
-// the card a packet larger than the wire MTU, firmware splits it, and the
-// peer's firmware reassembles before a single DMA + interrupt to the host.
+// the card a packet larger than the wire MTU, firmware splits it by the
+// shared net::fragments rule (the original header shrinks fragment 0), and
+// the peer's firmware reassembles by fragment index before a single DMA +
+// interrupt to the host.
 //
 // Interoperability caveats the paper notes are modelled: a frame whose
 // payload exceeds the receiver's configured MTU is dropped (jumbo must be
@@ -134,7 +136,6 @@ class Nic : public net::FrameSink {
   // (set_stalled(false)) brings the card back; recovery is the protocol's
   // problem.
   void set_stalled(bool stalled) { stalled_ = stalled; }
-  [[nodiscard]] bool stalled() const { return stalled_; }
   [[nodiscard]] std::uint64_t stall_drops() const { return stall_drops_; }
 
   [[nodiscard]] const net::MacAddr& mac() const { return mac_; }

@@ -134,4 +134,34 @@ void BufferChain::clear() {
   total_ = 0;
 }
 
+std::vector<Fragment> fragments(std::int64_t size, std::int64_t chunk,
+                                std::int64_t first_overhead) {
+  std::vector<Fragment> out;
+  std::int64_t offset = 0;
+  do {
+    const std::int64_t budget =
+        out.empty() ? std::max<std::int64_t>(chunk - first_overhead, 1)
+                    : chunk;
+    const std::int64_t length = std::min(budget, size - offset);
+    out.push_back({offset, length});
+    offset += length;
+  } while (offset < size);
+  return out;
+}
+
+bool MessageAssembler::add(Buffer fragment, bool first) {
+  if (first) {
+    chain_.clear();
+    open_ = true;
+  }
+  if (open_) chain_.append(std::move(fragment));
+  return open_;
+}
+
+Buffer MessageAssembler::finish() {
+  Buffer whole = chain_.flatten();
+  abort();
+  return whole;
+}
+
 }  // namespace clicsim::net

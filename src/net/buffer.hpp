@@ -98,7 +98,7 @@ class Buffer {
 };
 
 // Accumulates fragments in order and flattens them into one Buffer
-// (CLIC, GAMMA and NIC-firmware reassembly, TCP segments and streams).
+// (MessageAssembler, NIC-firmware reassembly, TCP segments and streams).
 class BufferChain {
  public:
   void append(Buffer b);
@@ -114,6 +114,48 @@ class BufferChain {
  private:
   std::vector<Buffer> parts_;
   std::int64_t total_ = 0;
+};
+
+// --- Message framing, written once for every protocol -----------------------
+
+// One frame's slice of a message.
+struct Fragment {
+  std::int64_t offset;
+  std::int64_t length;
+};
+
+// How CLIC, GAMMA, VIA, the NIC firmware and the streaming workload cut a
+// `size`-byte message: frames of at most `chunk` payload bytes, with
+// `first_overhead` upper-layer header bytes riding on the first frame and
+// counting against its budget (which keeps at least one byte). An empty
+// message is one empty fragment.
+std::vector<Fragment> fragments(std::int64_t size, std::int64_t chunk,
+                                std::int64_t first_overhead = 0);
+
+// How CLIC, GAMMA and VIA put a message back together from in-order
+// first/last-flagged fragments, one message at a time. A first fragment
+// opens a message, discarding any partial one; a fragment that arrives
+// while no message is open lost its head and is dropped. A protocol that
+// sees a gap aborts the open message, so it delivers whole messages only.
+class MessageAssembler {
+ public:
+  // Appends a fragment; returns false when it was dropped.
+  bool add(Buffer fragment, bool first);
+
+  // Closes the open message and returns its bytes.
+  Buffer finish();
+
+  // Discards the open message (the protocol detected a gap).
+  void abort() {
+    chain_.clear();
+    open_ = false;
+  }
+
+  [[nodiscard]] std::int64_t size() const { return chain_.size(); }
+
+ private:
+  BufferChain chain_;
+  bool open_ = false;
 };
 
 }  // namespace clicsim::net

@@ -30,7 +30,6 @@ FaultInjector::Outcome FaultInjector::judge() {
     return {Verdict::kDrop};
   }
   if (corrupt_prob_ > 0.0 && rng_.bernoulli(corrupt_prob_)) {
-    ++corrupted_;
     return {Verdict::kCorrupt};
   }
   if (dup_prob_ > 0.0 && rng_.bernoulli(dup_prob_)) {

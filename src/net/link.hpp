@@ -84,9 +84,7 @@ class FaultInjector {
 
   Outcome judge();
 
-  [[nodiscard]] std::uint64_t seen() const { return count_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  [[nodiscard]] std::uint64_t corrupted() const { return corrupted_; }
   [[nodiscard]] std::uint64_t duplicated() const { return duplicated_; }
   [[nodiscard]] std::uint64_t delayed() const { return delayed_; }
   [[nodiscard]] std::uint64_t burst_drops() const { return burst_drops_; }
@@ -107,7 +105,6 @@ class FaultInjector {
   std::set<std::uint64_t> drop_list_;
   std::uint64_t count_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t corrupted_ = 0;
   std::uint64_t duplicated_ = 0;
   std::uint64_t delayed_ = 0;
   std::uint64_t burst_drops_ = 0;

@@ -53,7 +53,6 @@ class Driver {
   void xmit_or_queue(SkBuff skb, sim::Action on_done = {});
 
   void set_direct_dispatch(bool enabled) { direct_dispatch_ = enabled; }
-  [[nodiscard]] bool direct_dispatch() const { return direct_dispatch_; }
 
   [[nodiscard]] hw::Nic& nic() { return *nic_; }
   [[nodiscard]] std::uint64_t tx_packets() const { return tx_packets_; }

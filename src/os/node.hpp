@@ -34,7 +34,6 @@ class Node {
   [[nodiscard]] hw::Cpu& cpu() { return cpu_; }
   [[nodiscard]] hw::MemoryBus& mem() { return mem_; }
   [[nodiscard]] hw::PciBus& pci() { return pci_; }
-  [[nodiscard]] hw::InterruptController& intc() { return intc_; }
   [[nodiscard]] Kernel& kernel() { return kernel_; }
 
   // Charges a kernel memcpy of `bytes` at `prio`, split into bounded chunks

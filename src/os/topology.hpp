@@ -76,7 +76,6 @@ class TopologyPlan {
   static TopologyPlan resolve(const TopologySpec& spec, int nodes,
                               int nics_per_node);
 
-  [[nodiscard]] TopologyKind kind() const { return kind_; }
   [[nodiscard]] int nodes() const { return nodes_; }
   [[nodiscard]] int leaves() const { return leaves_; }
   [[nodiscard]] int spines() const { return spines_; }

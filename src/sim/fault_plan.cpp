@@ -7,7 +7,7 @@
 namespace clicsim::sim {
 
 FaultPlan::FaultPlan(Simulator& sim, std::uint64_t seed)
-    : sim_(&sim), seed_(seed), rng_(seed, "fault-plan") {}
+    : sim_(&sim), rng_(seed, "fault-plan") {}
 
 int FaultPlan::add_target(std::string name, Hook fail, Hook restore) {
   std::vector<Part> parts(1);

@@ -106,7 +106,6 @@ class FaultPlan {
 
   // --- Introspection -------------------------------------------------------
 
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] std::uint64_t outages_scheduled() const { return outages_; }
   [[nodiscard]] std::uint64_t faults_fired() const {
     return fired_.load(std::memory_order_relaxed);
@@ -126,7 +125,6 @@ class FaultPlan {
   void leave_failure(int target, int part);
 
   Simulator* sim_;
-  std::uint64_t seed_;
   Rng rng_;
   std::vector<Target> targets_;
   std::uint64_t outages_ = 0;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -223,5 +224,20 @@ class InlineFunction {
 // closures (this + handler + a net::Frame by value); anything bigger takes
 // the counted heap fallback.
 using Action = InlineFunction<104>;
+
+// Invokes `done` once `count` completions have arrived (the last fragment
+// of a message leaving DMA, say). Returns a copyable std::function on
+// purpose: the join is handed to several parties, and each copy converts
+// to an Action (16-byte shared_ptr capture) at its point of use.
+inline std::function<void()> make_join(int count, Action done) {
+  struct State {
+    int remaining;
+    Action done;
+  };
+  auto state = std::make_shared<State>(State{count, std::move(done)});
+  return [state] {
+    if (--state->remaining == 0 && state->done) state->done();
+  };
+}
 
 }  // namespace clicsim::sim

@@ -32,7 +32,6 @@ class FifoResource {
   // Returns the completion time.
   SimTime submit(SimTime duration, Action done = {});
 
-  [[nodiscard]] bool idle() const { return free_at_ <= sim_->now(); }
   [[nodiscard]] SimTime busy_time() const { return busy_ns_; }
   [[nodiscard]] std::uint64_t uses() const { return uses_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -81,12 +80,6 @@ class PriorityResource {
   // not queue behind the rest of the softirq backlog).
   void submit_front(CpuPriority prio, SimTime duration, Action done = {});
 
-  [[nodiscard]] bool busy() const { return busy_; }
-  [[nodiscard]] std::size_t queued() const {
-    std::size_t n = 0;
-    for (const auto& q : queues_) n += q.size();
-    return n;
-  }
   [[nodiscard]] SimTime busy_time() const { return total_busy_ns_; }
   [[nodiscard]] SimTime busy_time(CpuPriority prio) const {
     return busy_ns_[static_cast<int>(prio)];

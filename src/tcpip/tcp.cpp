@@ -14,6 +14,25 @@ bool seq_lt(std::uint32_t a, std::uint32_t b) {
 }
 bool seq_gt(std::uint32_t a, std::uint32_t b) { return seq_lt(b, a); }
 
+// Takes the first `n` bytes (all present) off a queue of stream buffers,
+// splitting the buffer the cut falls in.
+net::Buffer take_front(std::deque<net::Buffer>& queue, std::int64_t n) {
+  net::BufferChain chain;
+  while (n > 0) {
+    net::Buffer& front = queue.front();
+    if (front.size() <= n) {
+      n -= front.size();
+      chain.append(std::move(front));
+      queue.pop_front();
+    } else {
+      chain.append(front.slice(0, n));
+      front = front.slice(n, front.size() - n);
+      n = 0;
+    }
+  }
+  return chain.flatten();
+}
+
 }  // namespace
 
 // ============================== TcpSocket ====================================
@@ -142,25 +161,10 @@ void TcpSocket::try_output() {
     }
     const std::int64_t len =
         std::min({mss(), unsent_bytes_, budget});
-
-    net::BufferChain chain;
-    std::int64_t remaining = len;
-    while (remaining > 0) {
-      net::Buffer& front = unsent_.front();
-      if (front.size() <= remaining) {
-        remaining -= front.size();
-        chain.append(std::move(front));
-        unsent_.pop_front();
-      } else {
-        chain.append(front.slice(0, remaining));
-        front = front.slice(remaining, front.size() - remaining);
-        remaining = 0;
-      }
-    }
     unsent_bytes_ -= len;
 
     SentSegment seg;
-    seg.data = chain.flatten();
+    seg.data = take_front(unsent_, len);
     seg.flags = tcpflags::kAck;
     if (unsent_bytes_ == 0) seg.flags |= tcpflags::kPsh;
     seg.virtual_len = len;
@@ -453,26 +457,6 @@ void TcpSocket::accept_data(const TcpHeader& header, net::Buffer payload,
   note_ack_owed(fin, prio);
 }
 
-net::Buffer TcpSocket::take_from_rcv_queue(std::int64_t max_bytes) {
-  net::BufferChain chain;
-  std::int64_t remaining = std::min(max_bytes, rcv_queued_bytes_);
-  while (remaining > 0) {
-    net::Buffer& front = rcv_queue_.front();
-    if (front.size() <= remaining) {
-      remaining -= front.size();
-      rcv_queued_bytes_ -= front.size();
-      chain.append(std::move(front));
-      rcv_queue_.pop_front();
-    } else {
-      chain.append(front.slice(0, remaining));
-      front = front.slice(remaining, front.size() - remaining);
-      rcv_queued_bytes_ -= remaining;
-      remaining = 0;
-    }
-  }
-  return chain.flatten();
-}
-
 void TcpSocket::pump_recv_requests(sim::CpuPriority prio) {
   (void)prio;  // user copies run in process (kernel) context via the chain
   const bool was_zero = last_advertised_zero_;
@@ -483,8 +467,10 @@ void TcpSocket::pump_recv_requests(sim::CpuPriority prio) {
     // Drain whatever is available into the request's accumulator; the
     // socket-queue -> user-memory copy (TCP's second copy) is charged
     // incrementally through the request's copy chain.
-    const std::int64_t want = req.max_bytes - req.acc.size();
-    net::Buffer chunk = take_from_rcv_queue(want);
+    const std::int64_t n =
+        std::min(req.max_bytes - req.acc.size(), rcv_queued_bytes_);
+    rcv_queued_bytes_ -= n;
+    net::Buffer chunk = take_front(rcv_queue_, n);
     if (chunk.size() > 0) {
       req.chain->add(chunk.size());
       req.acc.append(std::move(chunk));
@@ -557,21 +543,16 @@ TcpSocket& TcpStack::create_socket() {
   return *sockets_.back();
 }
 
-void TcpStack::listen(int port) { listeners_[port]; }
+void TcpStack::listen(int port) {
+  listeners_.try_emplace(port, node().sim());
+}
 
-sim::Future<TcpSocket*> TcpStack::accept(int port) {
-  sim::Future<TcpSocket*> result(node().sim());
+sim::Mailbox<TcpSocket*>::PopAwaiter TcpStack::accept(int port) {
   auto it = listeners_.find(port);
   if (it == listeners_.end()) {
     throw std::logic_error("TcpStack::accept: port not listening");
   }
-  if (!it->second.ready.empty()) {
-    result.set(it->second.ready.front());
-    it->second.ready.pop_front();
-  } else {
-    it->second.waiting.push_back(result);
-  }
-  return result;
+  return it->second.pop();
 }
 
 void TcpStack::register_connection(TcpSocket* socket) {
@@ -581,14 +562,7 @@ void TcpStack::register_connection(TcpSocket* socket) {
 
 void TcpStack::handshake_complete(TcpSocket* socket) {
   auto it = listeners_.find(socket->local_port_);
-  if (it == listeners_.end()) return;
-  if (!it->second.waiting.empty()) {
-    auto future = it->second.waiting.front();
-    it->second.waiting.pop_front();
-    future.set(socket);
-  } else {
-    it->second.ready.push_back(socket);
-  }
+  if (it != listeners_.end()) it->second.push(socket);
 }
 
 void TcpStack::emit(int dst_node, const TcpHeader& header,

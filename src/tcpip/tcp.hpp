@@ -6,8 +6,11 @@
 // congestion avoidance, cumulative + delayed acknowledgements, retransmit
 // timeout with backoff, fast retransmit on duplicate ACKs, zero-window
 // probing, FIN teardown, and the two-copy data path with software
-// checksums charged to the CPU. No SACK or header timestamps (documented
-// simplification — period stacks often ran without them on LANs).
+// checksums charged to the CPU. Segmenting the send queue and draining the
+// receive queue cut the stream with one helper; a listening port queues
+// finished handshakes in a sim::Mailbox that accept() pops. No SACK or
+// header timestamps (documented simplification — period stacks often ran
+// without them on LANs).
 #pragma once
 
 #include <cstdint>
@@ -66,9 +69,7 @@ class TcpSocket {
     return state_ == State::kEstablished;
   }
   [[nodiscard]] bool peer_closed() const { return peer_fin_; }
-  [[nodiscard]] int local_port() const { return local_port_; }
   [[nodiscard]] int remote_node() const { return remote_node_; }
-  [[nodiscard]] int remote_port() const { return remote_port_; }
 
   [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }
   [[nodiscard]] std::uint64_t fast_retransmits() const {
@@ -126,7 +127,6 @@ class TcpSocket {
   void arm_zero_window_probe();
   void pump_send_requests();
   void pump_recv_requests(sim::CpuPriority prio);
-  net::Buffer take_from_rcv_queue(std::int64_t max_bytes);
   [[nodiscard]] std::int64_t sndbuf_bytes_used() const;
   [[nodiscard]] std::int64_t rcv_window() const;
   [[nodiscard]] std::int64_t in_flight() const;
@@ -188,14 +188,14 @@ class TcpStack : public IpTransport {
   TcpSocket& create_socket();
 
   // Passive open: accept() completes when a handshake finishes on `port`.
+  // Finished handshakes queue in the port's mailbox until accepted.
   void listen(int port);
-  [[nodiscard]] sim::Future<TcpSocket*> accept(int port);
+  [[nodiscard]] sim::Mailbox<TcpSocket*>::PopAwaiter accept(int port);
 
   // IpTransport
   void datagram_received(int src_node, net::HeaderBlob l4,
                          net::Buffer payload, sim::CpuPriority prio) override;
 
-  [[nodiscard]] IpLayer& ip() { return *ip_; }
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] os::Node& node() { return ip_->node(); }
   [[nodiscard]] std::uint64_t segments_sent() const { return segments_tx_; }
@@ -205,11 +205,6 @@ class TcpStack : public IpTransport {
 
   // Called by a socket leaving kSynRcvd: hands it to accept().
   void handshake_complete(TcpSocket* socket);
-
-  struct Listener {
-    std::deque<TcpSocket*> ready;
-    std::deque<sim::Future<TcpSocket*>> waiting;
-  };
 
   static std::uint64_t connection_key(int local_port, int remote_node,
                                       int remote_port) {
@@ -229,7 +224,7 @@ class TcpStack : public IpTransport {
   Config config_;
   std::vector<std::unique_ptr<TcpSocket>> sockets_;
   std::unordered_map<std::uint64_t, TcpSocket*> connections_;
-  std::unordered_map<int, Listener> listeners_;
+  std::unordered_map<int, sim::Mailbox<TcpSocket*>> listeners_;
   int next_ephemeral_ = 10000;
   std::uint64_t segments_tx_ = 0;
 };

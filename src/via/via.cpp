@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace clicsim::via {
 
@@ -51,28 +52,25 @@ void Vi::rdma_write(net::Buffer data, std::int64_t offset) {
 
 sim::Future<Completion> Vi::poll_wait() {
   sim::Future<Completion> future(provider_->node().sim());
+  poll(future);
+  return future;
+}
 
+void Vi::poll(sim::Future<Completion> future) {
   // Busy-poll: the CPU spins in user mode, one completion-queue check per
   // poll interval, until an entry appears. Low latency, 100% CPU — the
   // behaviour CLIC's interrupt-driven design trades against (section 3.2b).
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, future, poll]() mutable {
-    auto& node = provider_->node();
-    node.cpu().run(sim::CpuPriority::kUser,
-                   provider_->config().poll_interval,
-                   [this, future, poll]() mutable {
-                     if (!cq_.empty()) {
-                       auto c = std::move(cq_.front());
-                       cq_.pop_front();
-                       future.set(std::move(c));
-                       *poll = nullptr;  // break the self-reference
-                       return;
-                     }
-                     (*poll)();
-                   });
-  };
-  (*poll)();
-  return future;
+  auto& cpu = provider_->node().cpu();
+  cpu.run(sim::CpuPriority::kUser, provider_->config().poll_interval,
+          [this, future]() mutable {
+            if (cq_.empty()) {
+              poll(std::move(future));
+              return;
+            }
+            auto c = std::move(cq_.front());
+            cq_.pop_front();
+            future.set(std::move(c));
+          });
 }
 
 void Vi::frame_in(const ViaHeader& header, net::Buffer payload) {
@@ -86,35 +84,25 @@ void Vi::frame_in(const ViaHeader& header, net::Buffer payload) {
     return;
   }
 
-  if (header.flags & kFirst) {
-    assembling_.clear();
-    if (recv_descriptors_.empty()) {
-      // Unreliable delivery: no posted descriptor, the message is lost.
-      ++dropped_;
-      assembling_active_ = false;
-      return;
-    }
-    assembling_active_ = true;
+  const bool first = (header.flags & kFirst) != 0;
+  if (first && recv_descriptors_.empty()) {
+    // Unreliable delivery: no posted descriptor, the message is lost.
+    ++dropped_;
+    assembling_.abort();
+    return;
   }
-  if (!assembling_active_) return;
-
-  assembling_.append(std::move(payload));
+  if (!assembling_.add(std::move(payload), first)) return;
   if (!(header.flags & kLast)) return;
 
-  assembling_active_ = false;
   const std::int64_t capacity = recv_descriptors_.front();
   recv_descriptors_.pop_front();
   if (assembling_.size() > capacity) {
     ++dropped_;  // descriptor too small: VIA completes in error; we drop
-    assembling_.clear();
+    assembling_.abort();
     return;
   }
-  Completion c;
-  c.is_send = false;
-  c.src_node = header.src_node;
-  c.data = assembling_.flatten();
-  assembling_.clear();
-  cq_.push_back(std::move(c));
+  cq_.push_back(Completion{/*is_send=*/false, header.src_node,
+                           assembling_.finish()});
 }
 
 // ============================= ViaProvider ===================================
@@ -155,18 +143,16 @@ void ViaProvider::user_send(Vi& vi, ViaHeader header, net::Buffer data,
                                                               data),
                                                           on_sent = std::move(
                                                               on_sent)]() mutable {
-          const std::int64_t chunk = node_->nic(0).mtu() - kViaHeaderBytes;
-          const std::int64_t total = std::max<std::int64_t>(data.size(), 1);
-          const int count = static_cast<int>((total + chunk - 1) / chunk);
-          auto remaining = std::make_shared<int>(count);
-
-          std::int64_t offset = 0;
-          bool first = true;
-          do {
-            const std::int64_t len = std::min(chunk, data.size() - offset);
+          const std::vector<net::Fragment> frags = net::fragments(
+              data.size(), node_->nic(0).mtu() - kViaHeaderBytes);
+          const auto complete =
+              sim::make_join(static_cast<int>(frags.size()),
+                             std::move(on_sent));
+          for (std::size_t i = 0; i < frags.size(); ++i) {
+            const auto [offset, len] = frags[i];
             ViaHeader h = header;
-            if (first) h.flags |= kFirst;
-            if (offset + len >= data.size()) h.flags |= kLast;
+            if (i == 0) h.flags |= kFirst;
+            if (i + 1 == frags.size()) h.flags |= kLast;
             if (h.flags & kRdma) {
               h.rdma_offset =
                   header.rdma_offset + static_cast<std::uint32_t>(offset);
@@ -180,9 +166,6 @@ void ViaProvider::user_send(Vi& vi, ViaHeader header, net::Buffer data,
             req.frame.payload = len > 0 ? data.slice(offset, len)
                                         : net::Buffer::zeros(0);
             req.sg_fragments = 2;
-            auto complete = [remaining, on_sent]() mutable {
-              if (--*remaining == 0 && on_sent) on_sent();
-            };
             ++tx_frames_;
             // Kernel bypass: straight to the card, no driver. A full send
             // queue surfaces as an (error) completion — unreliable service
@@ -190,12 +173,10 @@ void ViaProvider::user_send(Vi& vi, ViaHeader header, net::Buffer data,
             if (node_->nic(0).tx_ring_full()) {
               complete();
             } else {
-              req.on_descriptor_done = std::move(complete);
+              req.on_descriptor_done = complete;
               node_->nic(0).post_tx(std::move(req));
             }
-            offset += len;
-            first = false;
-          } while (offset < data.size());
+          }
         });
       });
 }

@@ -10,7 +10,9 @@
 //    completion queue — low latency, 100% CPU while waiting (the trade-off
 //    CLIC's interrupt-driven design argues against);
 //  * unreliable delivery: a frame arriving at a VI with no posted receive
-//    descriptor is dropped (reliability is the application's problem);
+//    descriptor is dropped (reliability is the application's problem), and
+//    with no sequence number on the wire a lost middle frame goes unseen
+//    and tears the message it belongs to;
 //  * RDMA write into a remote registered region.
 #pragma once
 
@@ -89,6 +91,8 @@ class Vi {
  private:
   friend class ViaProvider;
 
+  // One busy-poll iteration; re-arms itself until a completion appears.
+  void poll(sim::Future<Completion> future);
   void frame_in(const ViaHeader& header, net::Buffer payload);
 
   ViaProvider* provider_;
@@ -96,8 +100,7 @@ class Vi {
   int remote_node_ = -1;
   int remote_vi_ = -1;
   std::deque<std::int64_t> recv_descriptors_;
-  net::BufferChain assembling_;
-  bool assembling_active_ = false;
+  net::MessageAssembler assembling_;
   std::deque<Completion> cq_;
   std::int64_t region_capacity_ = 0;
   std::int64_t region_written_ = 0;
@@ -110,7 +113,6 @@ class ViaProvider : public os::ProtocolHandler {
               const os::AddressMap& addresses);
 
   [[nodiscard]] Vi& create_vi();
-  [[nodiscard]] Vi& vi(int id) { return *vis_.at(id); }
 
   // os::ProtocolHandler
   void packet_received(net::Frame frame, bool from_isr) override;

@@ -150,6 +150,8 @@ TEST(WorkloadDeterminism, FaultCampaignShardInvariant) {
     const apps::RpcResult r = apps::rpc_clic(scenario(shards), cfg);
     EXPECT_EQ(r.digest, base.digest) << "shards=" << shards;
     EXPECT_EQ(r.latency, base.latency) << "shards=" << shards;
+    // Carrier outages run the same events at every shard count.
+    EXPECT_EQ(r.events, base.events) << "shards=" << shards;
   }
   // A different campaign seed perturbs the rows (the faults really ran).
   const auto other = small_rpc(apps::ArrivalSpec::Process::kPoisson, 4321);
@@ -162,8 +164,9 @@ TEST(WorkloadDeterminism, StreamingFaultCampaignShardInvariant) {
   EXPECT_EQ(base.on_time + base.deadline_misses, base.frames);
   EXPECT_EQ(base.in_flight, 0u);
   for (const int shards : {2, 8}) {
-    EXPECT_EQ(apps::streaming_clic(scenario(shards), cfg).digest, base.digest)
-        << "shards=" << shards;
+    const apps::StreamingResult r = apps::streaming_clic(scenario(shards), cfg);
+    EXPECT_EQ(r.digest, base.digest) << "shards=" << shards;
+    EXPECT_EQ(r.events, base.events) << "shards=" << shards;
   }
 }
 
