@@ -324,24 +324,16 @@ ChaosReport run_clic(const ChaosOptions& o) {
   }
   if (o.adaptive) {
     r.adaptive = true;
-    bool first = true;
+    clic::ClicModule::AdaptiveStats s;
     for (int i = 0; i < bed.cluster.size(); ++i) {
-      const clic::ClicModule::AdaptiveStats s =
-          bed.module(i).adaptive_stats();
-      r.rtt_samples += s.rtt_samples;
-      r.window_collapses += s.window_collapses;
-      r.srtt_max = std::max(r.srtt_max, s.srtt_max);
-      r.rttvar_max = std::max(r.rttvar_max, s.rttvar_max);
-      if (s.window_max == 0) continue;  // node instantiated no channels
-      if (first) {
-        r.window_min = s.window_min;
-        r.window_max = s.window_max;
-        first = false;
-      } else {
-        r.window_min = std::min(r.window_min, s.window_min);
-        r.window_max = std::max(r.window_max, s.window_max);
-      }
+      s.merge(bed.module(i).adaptive_stats());
     }
+    r.rtt_samples = s.rtt_samples;
+    r.window_collapses = s.window_collapses;
+    r.srtt_max = s.srtt_max;
+    r.rttvar_max = s.rttvar_max;
+    r.window_min = s.window_min;
+    r.window_max = s.window_max;
   }
   return r;
 }

@@ -33,32 +33,21 @@ void Channel::send(Packet packet, SendCallback on_result) {
     packet.header.flags |= flags::kReset;
     pending_reset_ = false;
   }
-  Unacked entry{std::move(packet), std::move(on_result)};
-  if (config_->adaptive) {
-    // Every adaptive send goes through the paced release path so the
-    // congestion window and pacing gap apply uniformly.
-    pending_.push_back(std::move(entry));
-    pump_adaptive();
-    return;
-  }
-  if (pending_.empty() && in_flight() < config_->window_packets) {
-    transmit(entry.packet);
-    unacked_.emplace(entry.packet.header.seq, std::move(entry));
-    arm_rto();
-  } else {
-    pending_.push_back(std::move(entry));
-  }
+  // Every send goes through the release loop, so the window (and in
+  // adaptive mode the pacing gap) applies uniformly.
+  pending_.push_back(Unacked{std::move(packet), std::move(on_result)});
+  pump();
 }
 
-void Channel::pump_adaptive() {
+void Channel::pump() {
   const sim::SimTime now = ops_->kernel().sim().now();
   // Congestion-window validation (RFC 2861): a window that was opened by a
   // previous burst says nothing about the path *now*. After an idle gap
   // longer than the RTO, restart from cwnd_init and let slow start re-probe
   // — under periodic incast this is what stops every wave from blasting the
   // stale window of the previous one into the same shallow queue.
-  if (unacked_.empty() && !pending_.empty() && last_activity_ > 0 &&
-      now - last_activity_ > current_rto() &&
+  if (config_->adaptive && unacked_.empty() && !pending_.empty() &&
+      last_activity_ > 0 && now - last_activity_ > current_rto() &&
       cwnd_pkts_ > static_cast<double>(config_->cwnd_init)) {
     cwnd_pkts_ = static_cast<double>(std::max(1, config_->cwnd_init));
   }
@@ -66,12 +55,7 @@ void Channel::pump_adaptive() {
     if (now < pace_next_) {
       // Too soon after the previous release: wake up exactly at the pace
       // boundary. One timer at a time — the wake re-enters this pump.
-      if (pace_timer_ == os::Kernel::kInvalidTimer) {
-        pace_timer_ = ops_->kernel().add_timer(pace_next_ - now, [this] {
-          pace_timer_ = os::Kernel::kInvalidTimer;
-          pump_adaptive();
-        });
-      }
+      pace_timer_.arm(pace_next_ - now, [this] { pump(); });
       break;
     }
     Unacked entry = std::move(pending_.front());
@@ -81,9 +65,9 @@ void Channel::pump_adaptive() {
     transmit(entry.packet);
     const std::uint32_t seq = entry.packet.header.seq;
     unacked_.emplace(seq, std::move(entry));
-    pace_next_ = now + config_->pacing_gap;
+    if (config_->adaptive) pace_next_ = now + config_->pacing_gap;
   }
-  if (!unacked_.empty()) arm_rto();
+  if (!unacked_.empty()) arm_rto();  // a no-op if it already was non-empty
 }
 
 void Channel::grow_window() {
@@ -105,13 +89,12 @@ void Channel::collapse_window() {
   window_min_ = std::min(window_min_, cwnd());
 }
 
-void Channel::retransmit_window() {
-  // Go-back-N inside the send window: resend the cwnd oldest unacked
-  // packets back-to-back. After an incast burst drops a run of consecutive
-  // packets, resending only the head heals one sequence number per RTO —
-  // N losses cost N×RTO. Resending a window per round (and a further
-  // window on every partial ack) heals the whole run in ~one RTO.
-  int budget = cwnd();
+void Channel::retransmit(int budget) {
+  // The fixed clock resends the oldest packet alone; the peer's reorder
+  // buffer keeps later arrivals. Adaptive mode goes back N inside the send
+  // window: when a burst drops a run of consecutive packets, resending only
+  // the head heals one sequence number per RTO. A window per round (and
+  // another on every partial ack) heals the whole run in ~one RTO.
   for (auto& [seq, entry] : unacked_) {
     if (budget-- <= 0) break;
     entry.retransmitted = true;  // Karn: its ack yields no sample
@@ -129,23 +112,8 @@ void Channel::transmit(Packet& packet) {
 
 std::uint32_t Channel::take_piggyback_ack() {
   acks_owed_ = 0;
-  // Cancel any pending delayed pure ack — this packet carries it.
-  if (ack_timer_ != os::Kernel::kInvalidTimer) {
-    ops_->kernel().cancel_timer(ack_timer_);
-    ack_timer_ = os::Kernel::kInvalidTimer;
-  }
+  ack_timer_.cancel();  // this packet carries the delayed pure ack
   return rx_next_;
-}
-
-void Channel::drain_pending() {
-  while (!pending_.empty() && in_flight() < config_->window_packets) {
-    Unacked entry = std::move(pending_.front());
-    pending_.pop_front();
-    transmit(entry.packet);
-    const std::uint32_t seq = entry.packet.header.seq;
-    unacked_.emplace(seq, std::move(entry));
-  }
-  if (!unacked_.empty()) arm_rto();
 }
 
 void Channel::process_ack(std::uint32_t ack) {
@@ -170,7 +138,7 @@ void Channel::process_ack(std::uint32_t ack) {
   }
   if (!advanced) return;
   tx_base_ = ack;
-  if (config_->adaptive) last_activity_ = ops_->kernel().sim().now();
+  last_activity_ = ops_->kernel().sim().now();
   // Fresh progress restarts the retransmission clock. The second half of
   // Karn's algorithm governs the backoff: in adaptive mode the backed-off
   // RTO is RETAINED until a never-retransmitted packet is acked (a valid
@@ -180,11 +148,8 @@ void Channel::process_ack(std::uint32_t ack) {
   // forever; retaining the backoff lets the RTO double past the real RTT,
   // after which a clean exchange samples it and re-bases the estimator.
   if (!config_->adaptive || sampled) backoff_level_ = 0;
-  if (rto_timer_ != os::Kernel::kInvalidTimer) {
-    ops_->kernel().cancel_timer(rto_timer_);
-    rto_timer_ = os::Kernel::kInvalidTimer;
-  }
-  if (config_->adaptive && in_recovery_) {
+  rto_timer_.cancel();
+  if (in_recovery_) {  // adaptive mode only
     if (ack >= recover_point_) {
       in_recovery_ = false;  // the whole loss episode is acknowledged
     } else {
@@ -192,37 +157,27 @@ void Channel::process_ack(std::uint32_t ack) {
       // short of the recovery point, so the next packets in the run are
       // also missing. Resend the next window now instead of idling until
       // another RTO expires.
-      retransmit_window();
+      retransmit(cwnd());
     }
   }
   if (!unacked_.empty()) arm_rto();
-  if (config_->adaptive) {
-    pump_adaptive();
-  } else {
-    drain_pending();
-  }
+  pump();
 }
 
 sim::SimTime Channel::current_rto() const {
-  if (config_->adaptive) {
-    // The estimator replaces the fixed clock as the ladder's base; until
-    // the first sample the configured rto seeds it. Consecutive expiries
-    // double the deadline (classic RFC 6298 backoff) regardless of
-    // rto_backoff, which exists to shape the fixed-clock ladder.
-    double rto = static_cast<double>(
-        rtt_.primed() ? rtt_.rto(config_->rto_min, config_->rto_max)
-                      : config_->rto);
+  // In adaptive mode the estimator replaces the fixed clock as the
+  // ladder's base once it has a sample (the configured rto seeds it until
+  // then), and consecutive expiries double the deadline (classic RFC 6298
+  // backoff) regardless of rto_backoff, which shapes the fixed-clock
+  // ladder; an rto_backoff of 1.0 keeps that clock level-independent.
+  const bool estimated = config_->adaptive && rtt_.primed();
+  const double factor = config_->adaptive ? 2.0 : config_->rto_backoff;
+  double rto = static_cast<double>(
+      estimated ? rtt_.rto(config_->rto_min, config_->rto_max)
+                : config_->rto);
+  if (factor > 1.0) {
     for (int i = 0; i < backoff_level_; ++i) {
-      rto *= 2.0;
-      if (rto >= static_cast<double>(config_->rto_max)) break;
-    }
-    return std::min<sim::SimTime>(static_cast<sim::SimTime>(rto),
-                                  config_->rto_max);
-  }
-  double rto = static_cast<double>(config_->rto);
-  if (config_->rto_backoff > 1.0) {  // 1.0 = fixed clock, level-independent
-    for (int i = 0; i < backoff_level_; ++i) {
-      rto *= config_->rto_backoff;
+      rto *= factor;
       if (rto >= static_cast<double>(config_->rto_max)) break;
     }
   }
@@ -231,7 +186,7 @@ sim::SimTime Channel::current_rto() const {
 }
 
 void Channel::arm_rto() {
-  if (rto_timer_ != os::Kernel::kInvalidTimer) return;
+  if (rto_timer_.armed()) return;
   sim::SimTime rto = current_rto();
   if (config_->rto_jitter > 0.0) {
     // Deterministic jitter in ±rto_jitter, from the per-channel stream.
@@ -241,11 +196,10 @@ void Channel::arm_rto() {
         1, static_cast<sim::SimTime>(static_cast<double>(rto) *
                                      (1.0 + spread)));
   }
-  rto_timer_ = ops_->kernel().add_timer(rto, [this] { rto_expired(); });
+  rto_timer_.arm(rto, [this] { rto_expired(); });
 }
 
 void Channel::rto_expired() {
-  rto_timer_ = os::Kernel::kInvalidTimer;
   if (unacked_.empty()) {
     backoff_level_ = 0;
     return;
@@ -263,19 +217,8 @@ void Channel::rto_expired() {
     collapse_window();
     in_recovery_ = true;
     recover_point_ = next_seq_;
-    retransmit_window();
-    arm_rto();
-    return;
   }
-  // Selective repeat of the oldest outstanding packet; the reorder buffer
-  // on the far side keeps later arrivals.
-  ++retransmits_;
-  Unacked& head = unacked_.begin()->second;
-  head.retransmitted = true;  // Karn: this packet's ack yields no sample
-  Packet& oldest = head.packet;
-  // Retransmission must not re-trigger the caller's descriptor callback.
-  oldest.on_descriptor_done = {};
-  transmit(oldest);
+  retransmit(config_->adaptive ? cwnd() : 1);
   arm_rto();
 }
 
@@ -299,10 +242,7 @@ void Channel::give_up() {
     recover_point_ = 0;
     pace_next_ = 0;
     last_activity_ = 0;
-    if (pace_timer_ != os::Kernel::kInvalidTimer) {
-      ops_->kernel().cancel_timer(pace_timer_);
-      pace_timer_ = os::Kernel::kInvalidTimer;
-    }
+    pace_timer_.cancel();
   }
   auto unacked = std::move(unacked_);
   auto pending = std::move(pending_);
@@ -381,20 +321,14 @@ void Channel::note_ack_owed(bool immediate) {
     send_pure_ack();
     return;
   }
-  if (ack_timer_ == os::Kernel::kInvalidTimer) {
-    ack_timer_ = ops_->kernel().add_timer(config_->ack_delay, [this] {
-      ack_timer_ = os::Kernel::kInvalidTimer;
-      if (acks_owed_ > 0) send_pure_ack();
-    });
-  }
+  ack_timer_.arm(config_->ack_delay, [this] {
+    if (acks_owed_ > 0) send_pure_ack();
+  });
 }
 
 void Channel::send_pure_ack() {
   acks_owed_ = 0;
-  if (ack_timer_ != os::Kernel::kInvalidTimer) {
-    ops_->kernel().cancel_timer(ack_timer_);
-    ack_timer_ = os::Kernel::kInvalidTimer;
-  }
+  ack_timer_.cancel();
   ++acks_sent_;
   ClicHeader h;
   h.type = PacketType::kInternal;

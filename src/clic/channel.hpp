@@ -119,7 +119,8 @@ class Channel {
   };
 
   void transmit(Packet& packet);
-  void drain_pending();
+  void pump();  // window-limited (adaptive: paced) release of pending_
+  void retransmit(int budget);  // resend the `budget` oldest unacked
   void process_ack(std::uint32_t ack);
   void arm_rto();
   void rto_expired();
@@ -127,24 +128,20 @@ class Channel {
   void note_ack_owed(bool immediate);
   void send_pure_ack();
 
-  // Adaptive mode (all no-ops when Config::adaptive is off).
-  void pump_adaptive();   // paced, window-limited release of pending_
+  // Adaptive mode only.
   void grow_window();     // slow start below ssthresh, +1/cwnd above
   void collapse_window();  // timeout response: ssthresh = inflight/2
-  void retransmit_window();  // loss recovery: resend cwnd oldest unacked
 
   const Config* config_;
   ChannelOps* ops_;
   int peer_;
 
-  // TX state. The retransmit timer is a cancellable kernel timer: fresh
-  // ack progress cancels and re-arms it instead of bumping a generation
-  // counter and stranding the superseded closure.
+  // TX state. Fresh ack progress cancels and re-arms the retransmit timer.
   std::uint32_t next_seq_ = 0;
   std::uint32_t tx_base_ = 0;  // oldest unacknowledged sequence
   std::map<std::uint32_t, Unacked> unacked_;
   std::deque<Unacked> pending_;  // waiting for window space
-  os::Kernel::TimerId rto_timer_ = os::Kernel::kInvalidTimer;
+  os::Kernel::Timer rto_timer_{ops_->kernel()};
   int backoff_level_ = 0;       // consecutive expiries with no progress
   bool pending_reset_ = false;  // next data packet carries flags::kReset
   sim::Rng rto_rng_;            // deterministic jitter stream
@@ -167,7 +164,7 @@ class Channel {
   sim::SimTime last_activity_ = 0;  // last transmit or ack progress
                                     // (feeds RFC 2861 idle restart)
   sim::SimTime pace_next_ = 0;  // earliest next paced transmission
-  os::Kernel::TimerId pace_timer_ = os::Kernel::kInvalidTimer;
+  os::Kernel::Timer pace_timer_{ops_->kernel()};
   int window_min_ = 0;
   int window_max_ = 0;
   std::uint64_t window_collapses_ = 0;
@@ -176,7 +173,7 @@ class Channel {
   std::uint32_t rx_next_ = 0;
   std::map<std::uint32_t, Packet> reorder_;
   int acks_owed_ = 0;
-  os::Kernel::TimerId ack_timer_ = os::Kernel::kInvalidTimer;
+  os::Kernel::Timer ack_timer_{ops_->kernel()};
 
   std::uint64_t retransmits_ = 0;
   std::uint64_t duplicates_ = 0;

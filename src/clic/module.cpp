@@ -1,6 +1,7 @@
 #include "clic/module.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -75,22 +76,23 @@ Channel* ClicModule::channel_to(int peer) {
   return it == channels_.end() ? nullptr : it->second.get();
 }
 
+void ClicModule::AdaptiveStats::merge(const AdaptiveStats& other) {
+  rtt_samples += other.rtt_samples;
+  window_collapses += other.window_collapses;
+  srtt_max = std::max(srtt_max, other.srtt_max);
+  rttvar_max = std::max(rttvar_max, other.rttvar_max);
+  if (other.window_max == 0) return;  // opened no window
+  window_min = window_max == 0 ? other.window_min
+                               : std::min(window_min, other.window_min);
+  window_max = std::max(window_max, other.window_max);
+}
+
 ClicModule::AdaptiveStats ClicModule::adaptive_stats() const {
   AdaptiveStats stats;
-  bool first = true;
   for (const auto& [peer, ch] : channels_) {
-    stats.rtt_samples += ch->rtt().samples();
-    stats.window_collapses += ch->window_collapses();
-    stats.srtt_max = std::max(stats.srtt_max, ch->rtt().srtt());
-    stats.rttvar_max = std::max(stats.rttvar_max, ch->rtt().rttvar());
-    if (first) {
-      stats.window_min = ch->window_min();
-      stats.window_max = ch->window_max();
-      first = false;
-    } else {
-      stats.window_min = std::min(stats.window_min, ch->window_min());
-      stats.window_max = std::max(stats.window_max, ch->window_max());
-    }
+    stats.merge({ch->rtt().samples(), ch->window_collapses(),
+                 ch->rtt().srtt(), ch->rtt().rttvar(), ch->window_min(),
+                 ch->window_max()});
   }
   return stats;
 }
@@ -149,7 +151,10 @@ sim::Future<SendStatus> ClicModule::send(int src_port, int dst_node,
 
 // A message's packets on their way into the reliable channel. Each is
 // charged the module's per-packet cost and its TX-path preparation in turn,
-// so emission overlaps DMA of earlier packets.
+// so emission overlaps DMA of earlier packets. A channel give-up after the
+// first packet went in may have abandoned some of them, and the peer would
+// append the rest to its open reassembly: a torn message. So a changed
+// give-up count stops the message and fails the send.
 struct ClicModule::Outgoing : std::enable_shared_from_this<Outgoing> {
   Outgoing(ClicModule* m, int dst, SendMode md, sim::Future<SendStatus> r,
            std::deque<Packet> p)
@@ -161,37 +166,39 @@ struct ClicModule::Outgoing : std::enable_shared_from_this<Outgoing> {
   SendMode mode;
   sim::Future<SendStatus> result;
   std::deque<Packet> packets;
-  Packet current;         // the packet being prepared
-  bool aborted = false;   // channel gave up on an earlier fragment
+  Packet current;  // the packet being prepared
+  // The channel's gave_up() when the first packet entered it.
+  std::optional<std::uint64_t> gave_up_at;
   bool finished = false;  // result future already resolved
+  // kSync: the descriptor join's failure flag (the join cannot hold the
+  // Outgoing, whose packets hold the join).
+  std::shared_ptr<bool> abandoned;
 
   void next();
+  void enter_channel(bool last);
+  void finish(bool ok);
 };
 
 void ClicModule::send_packets(int dst_node, std::deque<Packet> packets,
                               SendMode mode,
                               sim::Future<SendStatus> result) {
+  auto out = std::make_shared<Outgoing>(this, dst_node, mode, result,
+                                        std::move(packets));
   if (mode == SendMode::kSync) {
+    out->abandoned = std::make_shared<bool>(false);
     const auto done = sim::make_join(
-        static_cast<int>(packets.size()),
-        [this, result] { finish_send(result, true); });
-    for (auto& p : packets) p.on_descriptor_done = done;
+        static_cast<int>(out->packets.size()),
+        [this, result, abandoned = out->abandoned] {
+          finish_send(result, !*abandoned);
+        });
+    for (auto& p : out->packets) p.on_descriptor_done = done;
   }
-  std::make_shared<Outgoing>(this, dst_node, mode, std::move(result),
-                             std::move(packets))
-      ->next();
+  out->next();
 }
 
 void ClicModule::Outgoing::next() {
-  if (aborted) {
-    // The channel abandoned an earlier fragment of this message (retry
-    // budget exhausted). Submitting the rest would hand the peer a message
-    // with a hole, so the remainder is dropped here; the result future
-    // already resolved as failed.
-    return;
-  }
   if (packets.empty()) {
-    if (mode == SendMode::kAsync) module->finish_send(result, true);
+    if (mode == SendMode::kAsync) finish(true);
     return;
   }
   current = std::move(packets.front());
@@ -203,24 +210,45 @@ void ClicModule::Outgoing::next() {
   module->node_->cpu().run(
       sim::CpuPriority::kKernel, module->config_.module_tx_cost,
       [self = shared_from_this(), last] {
-        self->module->prepare_packet_data(self->current, [self, last] {
-          Channel::SendCallback on_result;
-          if (self->mode == SendMode::kConfirmed) {
-            // Every fragment reports back: the last one resolves the send,
-            // and any abandoned fragment fails it early and stops the rest
-            // of the message.
-            on_result = [self, last](bool ok) {
-              if (!ok) self->aborted = true;
-              if (self->finished || (ok && !last)) return;
-              self->finished = true;
-              self->module->finish_send(self->result, ok);
-            };
-          }
-          self->module->channel(self->dst_node)
-              .send(std::move(self->current), std::move(on_result));
-          self->next();
-        });
+        self->module->prepare_packet_data(
+            self->current, [self, last] { self->enter_channel(last); });
       });
+}
+
+void ClicModule::Outgoing::enter_channel(bool last) {
+  Channel& channel = module->channel(dst_node);
+  if (!gave_up_at) {
+    gave_up_at = channel.gave_up();
+  } else if (channel.gave_up() != *gave_up_at) {
+    if (mode == SendMode::kSync) {
+      // Release the unsent packets' descriptor joins: the send resolves,
+      // failed, once the DMA already posted completes.
+      *abandoned = true;
+      current.on_descriptor_done();
+      for (auto& p : packets) p.on_descriptor_done();
+    } else {
+      finish(false);
+    }
+    packets.clear();
+    return;
+  }
+  Channel::SendCallback on_result;
+  if (mode == SendMode::kConfirmed) {
+    // Every fragment reports back: the last one resolves the send, and any
+    // abandoned fragment fails it early.
+    on_result = [self = shared_from_this(), last](bool ok) {
+      if (ok && !last) return;
+      self->finish(ok);
+    };
+  }
+  channel.send(std::move(current), std::move(on_result));
+  next();
+}
+
+void ClicModule::Outgoing::finish(bool ok) {
+  if (finished) return;
+  finished = true;
+  module->finish_send(result, ok);
 }
 
 void ClicModule::finish_send(sim::Future<SendStatus> result, bool ok) {
@@ -237,48 +265,40 @@ void ClicModule::prepare_packet_data(Packet& packet,
     path = TxPath::kOneCopy;  // card cannot DMA from scattered user pages
   }
 
+  const std::int64_t n = packet.payload.size();
+  sim::SimTime cost = 0;
   switch (path) {
     case TxPath::kZeroCopy:
       // Path 2: the SK_BUFF points at user memory; no CPU copy at all.
       packet.user_memory = true;
       packet.sg_fragments = 2;  // header block + user data
-      cpu.run(sim::CpuPriority::kKernel, 0, std::move(next));
-      return;
+      break;
 
-    case TxPath::kOneCopy: {
+    case TxPath::kOneCopy:
       // Path 3: one copy into a kernel buffer, DMA from there.
-      const std::int64_t n = packet.payload.size();
       node_->mem().copy_pressure(n);
-      packet.sg_fragments = 1;
-      cpu.run(sim::CpuPriority::kKernel, cpu.copy_cost(n), std::move(next));
-      return;
-    }
+      cost = cpu.copy_cost(n);
+      break;
 
-    case TxPath::kTwoCopy: {
+    case TxPath::kTwoCopy:
       // Path 4 (Fast Ethernet CLIC): kernel buffer plus a staging copy
       // towards the card's output buffer.
-      const std::int64_t n = packet.payload.size();
       node_->mem().copy_pressure(n);
       node_->mem().copy_pressure(n);
-      packet.sg_fragments = 1;
-      cpu.run(sim::CpuPriority::kKernel, 2 * cpu.copy_cost(n),
-              std::move(next));
-      return;
-    }
+      cost = 2 * cpu.copy_cost(n);
+      break;
 
-    case TxPath::kDirectPio: {
+    case TxPath::kDirectPio:
       // Path 1: the CPU itself pushes the bytes across PCI (programmed
       // I/O) — extremely slow per byte, which is why nobody uses it.
       packet.pio = true;
-      const std::int64_t wire = packet.payload.size() + kClicHeaderBytes +
-                                net::kEthHeaderBytes + net::kEthFcsBytes;
-      const sim::SimTime pio_time =
-          node_->pci().transaction_time(wire, /*efficiency=*/0.15);
-      node_->pci().transfer(pio_time);
-      cpu.run(sim::CpuPriority::kKernel, pio_time, std::move(next));
-      return;
-    }
+      cost = node_->pci().transaction_time(
+          n + kClicHeaderBytes + net::kEthHeaderBytes + net::kEthFcsBytes,
+          /*efficiency=*/0.15);
+      node_->pci().transfer(cost);
+      break;
   }
+  cpu.run(sim::CpuPriority::kKernel, cost, std::move(next));
 }
 
 void ClicModule::emit_data(int peer, Packet& packet) {
@@ -375,14 +395,7 @@ void ClicModule::send_intra_node(int src_port, int dst_port,
               m.data = std::move(data);
               ++messages_received_;
               bytes_received_ += m.data.size();
-              if (m.type == PacketType::kRemoteWrite) {
-                finish_remote_write(std::move(m), sim::CpuPriority::kKernel);
-              } else if (m.type == PacketType::kKernelFn) {
-                auto fit = kernel_fns_.find(m.dst_port);
-                if (fit != kernel_fns_.end()) fit->second(std::move(m));
-              } else {
-                deliver_message(std::move(m), sim::CpuPriority::kKernel);
-              }
+              deliver_message(std::move(m), sim::CpuPriority::kKernel);
               kernel().syscall_return(
                   [result]() mutable { result.set({true}); });
             });
@@ -618,29 +631,27 @@ void ClicModule::deliver(int peer, Packet packet) {
   m.type = packet.header.type;
   m.meta = std::move(re.meta);
   m.data = re.assembler.finish();
-  auto copy = std::move(re.copy);
-  const std::int64_t copied = re.copied;
   ++messages_received_;
-
-  switch (m.type) {
-    case PacketType::kRemoteWrite:
-      finish_remote_write(std::move(m), rx_prio_);
-      return;
-    case PacketType::kKernelFn: {
-      auto it = kernel_fns_.find(m.dst_port);
-      if (it != kernel_fns_.end()) it->second(std::move(m));
-      return;
-    }
-    default:
-      deliver_message(std::move(m), rx_prio_, std::move(copy), copied);
-  }
+  deliver_message(std::move(m), rx_prio_, std::move(re.copy), re.copied);
 }
 
-// --- Port delivery / receive --------------------------------------------------
+// --- Delivery / receive -------------------------------------------------------
 
 void ClicModule::deliver_message(Message message, sim::CpuPriority prio,
                                  std::shared_ptr<os::CopyChain> chain,
                                  std::int64_t copied) {
+  switch (message.type) {
+    case PacketType::kRemoteWrite:
+      finish_remote_write(std::move(message), prio);
+      return;
+    case PacketType::kKernelFn: {
+      auto fit = kernel_fns_.find(message.dst_port);
+      if (fit != kernel_fns_.end()) fit->second(std::move(message));
+      return;
+    }
+    default:
+      break;
+  }
   auto it = ports_.find(message.dst_port);
   if (it == ports_.end()) return;  // protection: nothing listens on this port
   PortState& ps = it->second;

@@ -148,6 +148,10 @@ class ClicModule : public os::ProtocolHandler, private ChannelOps {
     sim::SimTime rttvar_max = 0;  // largest final RTT variance
     int window_min = 0;           // smallest window any channel fell to
     int window_max = 0;           // largest window any channel opened
+
+    // Folds in one channel's or one module's stats. A side that opened no
+    // window (window_max 0) leaves the window range alone.
+    void merge(const AdaptiveStats& other);
   };
   [[nodiscard]] AdaptiveStats adaptive_stats() const;
 
@@ -174,8 +178,9 @@ class ClicModule : public os::ProtocolHandler, private ChannelOps {
   PortState& port_state(int port);
   [[nodiscard]] std::int64_t chunk_bytes() const;
 
-  // Charges the per-packet TX-path cost (Figure 1) and prepares `packet`'s
-  // copy semantics, then runs `next` (still in kernel context).
+  // Charges the per-packet TX-path cost (Figure 1) as one CPU item and
+  // prepares `packet`'s copy semantics, then runs `next` (still in kernel
+  // context).
   void prepare_packet_data(Packet& packet, std::function<void()> next);
 
   struct Outgoing;
@@ -188,6 +193,8 @@ class ClicModule : public os::ProtocolHandler, private ChannelOps {
   void send_intra_node(int src_port, int dst_port, net::Buffer data,
                        PacketType type, net::HeaderBlob meta,
                        sim::Future<SendStatus> result);
+  // Routes a finished message by type: into a registered region (remote
+  // write), to a kernel function, or to its port.
   void deliver_message(Message message, sim::CpuPriority prio,
                        std::shared_ptr<os::CopyChain> chain = nullptr,
                        std::int64_t copied = 0);

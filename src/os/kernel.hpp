@@ -42,6 +42,38 @@ class Kernel {
   // Pending, fired and cancelled tallies of this node's timers.
   [[nodiscard]] const sim::Timers& timer_wheel() const { return timers_; }
 
+  // A protocol timer (retransmission, delayed ack, pacing, probe) with at
+  // most one pending deadline. It empties itself before its callback runs,
+  // so the callback may re-arm it. Its owner outlives a pending deadline.
+  class Timer {
+   public:
+    explicit Timer(Kernel& kernel) : kernel_(&kernel) {}
+    Timer(const Timer&) = delete;
+    Timer& operator=(const Timer&) = delete;
+
+    [[nodiscard]] bool armed() const { return id_ != kInvalidTimer; }
+
+    // Arms `fn` to run `delay` ns from now; a no-op while armed.
+    template <typename F>
+    void arm(sim::SimTime delay, F&& fn) {
+      if (armed()) return;
+      id_ = kernel_->add_timer(
+          delay, [this, fn = std::forward<F>(fn)]() mutable {
+            id_ = kInvalidTimer;
+            fn();
+          });
+    }
+
+    // Disarms a pending deadline, destroying its closure now.
+    void cancel() {
+      if (armed()) kernel_->cancel_timer(std::exchange(id_, kInvalidTimer));
+    }
+
+   private:
+    Kernel* kernel_;
+    TimerId id_ = kInvalidTimer;
+  };
+
   // --- System calls ----------------------------------------------------------
   // Charges the kernel-entry cost (INT 80h path) at kernel priority, then
   // runs `body` in kernel context. The matching exit cost is charged by

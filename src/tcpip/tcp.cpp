@@ -38,7 +38,11 @@ net::Buffer take_front(std::deque<net::Buffer>& queue, std::int64_t n) {
 // ============================== TcpSocket ====================================
 
 TcpSocket::TcpSocket(TcpStack& stack, int local_port)
-    : stack_(&stack), local_port_(local_port) {}
+    : stack_(&stack),
+      local_port_(local_port),
+      rto_timer_(stack.node().kernel()),
+      probe_timer_(stack.node().kernel()),
+      delack_timer_(stack.node().kernel()) {}
 
 std::int64_t TcpSocket::mss() const {
   return stack_->node().nic(0).mtu() - kIpHeaderBytes - kTcpHeaderBytes;
@@ -201,7 +205,7 @@ void TcpSocket::emit_segment(std::uint32_t seq, const SentSegment& segment) {
 
   // Sending any segment piggybacks the current ack.
   segs_since_ack_ = 0;
-  cancel_delack();
+  delack_timer_.cancel();
   last_advertised_zero_ = h.window == 0;
 
   const auto& cfg = stack_->config();
@@ -228,7 +232,7 @@ void TcpSocket::send_ack_now(sim::CpuPriority prio) {
   h.window = rcv_window();
 
   segs_since_ack_ = 0;
-  cancel_delack();
+  delack_timer_.cancel();
   last_advertised_zero_ = h.window == 0;
 
   // The ack is emitted inline as part of the segment processing that owed
@@ -246,40 +250,20 @@ void TcpSocket::note_ack_owed(bool push, sim::CpuPriority prio) {
     send_ack_now(prio);
     return;
   }
-  if (delack_timer_ == os::Kernel::kInvalidTimer) {
-    delack_timer_ = stack_->node().kernel().add_timer(
-        stack_->config().delack_timeout, [this] {
-          delack_timer_ = os::Kernel::kInvalidTimer;
-          if (segs_since_ack_ > 0) send_ack_now();
-        });
-  }
-}
-
-void TcpSocket::cancel_delack() {
-  if (delack_timer_ != os::Kernel::kInvalidTimer) {
-    stack_->node().kernel().cancel_timer(delack_timer_);
-    delack_timer_ = os::Kernel::kInvalidTimer;
-  }
+  delack_timer_.arm(stack_->config().delack_timeout, [this] {
+    if (segs_since_ack_ > 0) send_ack_now();
+  });
 }
 
 void TcpSocket::arm_rto() {
-  if (rto_timer_ != os::Kernel::kInvalidTimer || unacked_.empty()) return;
+  if (rto_timer_.armed() || unacked_.empty()) return;
   const auto& cfg = stack_->config();
   sim::SimTime rto = std::max(cfg.rto_initial, cfg.rto_min);
   for (int i = 0; i < rto_backoff_; ++i) rto *= 2;
-  rto_timer_ =
-      stack_->node().kernel().add_timer(rto, [this] { rto_expired(); });
-}
-
-void TcpSocket::cancel_rto() {
-  if (rto_timer_ != os::Kernel::kInvalidTimer) {
-    stack_->node().kernel().cancel_timer(rto_timer_);
-    rto_timer_ = os::Kernel::kInvalidTimer;
-  }
+  rto_timer_.arm(rto, [this] { rto_expired(); });
 }
 
 void TcpSocket::rto_expired() {
-  rto_timer_ = os::Kernel::kInvalidTimer;
   if (unacked_.empty()) return;
 
   ++retransmits_;
@@ -291,27 +275,24 @@ void TcpSocket::rto_expired() {
 }
 
 void TcpSocket::arm_zero_window_probe() {
-  if (probe_timer_ != os::Kernel::kInvalidTimer) return;
-  probe_timer_ = stack_->node().kernel().add_timer(
-      stack_->config().rto_initial, [this] {
-        probe_timer_ = os::Kernel::kInvalidTimer;
-        if (snd_wnd_ == 0 && unsent_bytes_ > 0 && in_flight() == 0) {
-          // 1-byte window probe.
-          net::Buffer& front = unsent_.front();
-          SentSegment probe;
-          probe.data = front.slice(0, 1);
-          probe.flags = tcpflags::kAck;
-          probe.virtual_len = 1;
-          front = front.slice(1, front.size() - 1);
-          if (front.size() == 0) unsent_.pop_front();
-          unsent_bytes_ -= 1;
-          const std::uint32_t seq = snd_nxt_;
-          snd_nxt_ += 1;
-          emit_segment(seq, probe);
-          unacked_.emplace(seq, std::move(probe));
-          arm_rto();
-        }
-      });
+  probe_timer_.arm(stack_->config().rto_initial, [this] {
+    if (snd_wnd_ == 0 && unsent_bytes_ > 0 && in_flight() == 0) {
+      // 1-byte window probe.
+      net::Buffer& front = unsent_.front();
+      SentSegment probe;
+      probe.data = front.slice(0, 1);
+      probe.flags = tcpflags::kAck;
+      probe.virtual_len = 1;
+      front = front.slice(1, front.size() - 1);
+      if (front.size() == 0) unsent_.pop_front();
+      unsent_bytes_ -= 1;
+      const std::uint32_t seq = snd_nxt_;
+      snd_nxt_ += 1;
+      emit_segment(seq, probe);
+      unacked_.emplace(seq, std::move(probe));
+      arm_rto();
+    }
+  });
 }
 
 // --- Receive side ---------------------------------------------------------------
@@ -326,7 +307,7 @@ void TcpSocket::segment_received(const TcpHeader& header, net::Buffer payload,
       if ((header.flags & tcpflags::kSyn) &&
           (header.flags & tcpflags::kAck) && header.ack == snd_nxt_) {
         unacked_.clear();
-        cancel_rto();
+        rto_timer_.cancel();
         snd_una_ = header.ack;
         rcv_nxt_ = header.seq + 1;
         snd_wnd_ = header.window;
@@ -338,7 +319,7 @@ void TcpSocket::segment_received(const TcpHeader& header, net::Buffer payload,
     case State::kSynRcvd:
       if ((header.flags & tcpflags::kAck) && header.ack == snd_nxt_) {
         unacked_.clear();
-        cancel_rto();
+        rto_timer_.cancel();
         snd_una_ = header.ack;
         snd_wnd_ = header.window;
         become_established();
@@ -384,7 +365,7 @@ void TcpSocket::process_ack(const TcpHeader& header) {
       cwnd_ += std::max<std::int64_t>(mss() * mss() / cwnd_, 1);
     }
 
-    cancel_rto();
+    rto_timer_.cancel();
     arm_rto();  // no-op when nothing outstanding
 
     pump_send_requests();

@@ -120,9 +120,7 @@ class TcpSocket {
   void emit_segment(std::uint32_t seq, const SentSegment& segment);
   void send_ack_now(sim::CpuPriority prio = sim::CpuPriority::kSoftirq);
   void note_ack_owed(bool push, sim::CpuPriority prio);
-  void cancel_delack();
   void arm_rto();
-  void cancel_rto();
   void rto_expired();
   void arm_zero_window_probe();
   void pump_send_requests();
@@ -155,12 +153,10 @@ class TcpSocket {
   bool fin_pending_ = false;
   bool fin_sent_ = false;
   std::deque<SendRequest> send_requests_;
-  // Retransmit / probe timers are cancellable kernel timers: ack progress
-  // cancels them outright instead of bumping a generation counter and
-  // stranding the superseded closure in the event heap.
-  os::Kernel::TimerId rto_timer_ = os::Kernel::kInvalidTimer;
+  // Ack progress cancels the retransmit timer outright.
+  os::Kernel::Timer rto_timer_;
   int rto_backoff_ = 0;
-  os::Kernel::TimerId probe_timer_ = os::Kernel::kInvalidTimer;
+  os::Kernel::Timer probe_timer_;
 
   // --- Receive -----------------------------------------------------------------
   std::uint32_t rcv_nxt_ = 0;
@@ -171,7 +167,7 @@ class TcpSocket {
   bool peer_fin_ = false;
   int segs_since_ack_ = 0;
   bool last_advertised_zero_ = false;
-  os::Kernel::TimerId delack_timer_ = os::Kernel::kInvalidTimer;
+  os::Kernel::Timer delack_timer_;
   std::deque<RecvRequest> recv_requests_;
 
   std::optional<sim::Future<bool>> connect_future_;

@@ -34,6 +34,8 @@ void Vi::post_send(net::Buffer data) {
   ViaHeader h;
   h.vi_id = static_cast<std::uint16_t>(remote_vi_);
   h.src_node = static_cast<std::uint16_t>(provider_->node().id());
+  h.offset = sent_bytes_;
+  sent_bytes_ += static_cast<std::uint32_t>(data.size());
   provider_->user_send(*this, h, std::move(data), [this] {
     cq_.push_back(Completion{/*is_send=*/true, remote_node_, {}});
   });
@@ -44,7 +46,7 @@ void Vi::rdma_write(net::Buffer data, std::int64_t offset) {
   h.vi_id = static_cast<std::uint16_t>(remote_vi_);
   h.src_node = static_cast<std::uint16_t>(provider_->node().id());
   h.flags = kRdma;
-  h.rdma_offset = static_cast<std::uint32_t>(offset);
+  h.offset = static_cast<std::uint32_t>(offset);
   provider_->user_send(*this, h, std::move(data), [this] {
     cq_.push_back(Completion{/*is_send=*/true, remote_node_, {}});
   });
@@ -76,10 +78,9 @@ void Vi::poll(sim::Future<Completion> future) {
 void Vi::frame_in(const ViaHeader& header, net::Buffer payload) {
   if (header.flags & kRdma) {
     // The card wrote straight into the registered region.
-    if (header.rdma_offset + payload.size() <= region_capacity_) {
-      region_written_ =
-          std::max<std::int64_t>(region_written_,
-                                 header.rdma_offset + payload.size());
+    if (header.offset + payload.size() <= region_capacity_) {
+      region_written_ = std::max<std::int64_t>(
+          region_written_, header.offset + payload.size());
     }
     return;
   }
@@ -91,6 +92,9 @@ void Vi::frame_in(const ViaHeader& header, net::Buffer payload) {
     assembling_.abort();
     return;
   }
+  // A frame that does not continue the open message follows a lost one.
+  if (!first && header.offset != next_offset_) assembling_.abort();
+  next_offset_ = header.offset + static_cast<std::uint32_t>(payload.size());
   if (!assembling_.add(std::move(payload), first)) return;
   if (!(header.flags & kLast)) return;
 
@@ -153,10 +157,7 @@ void ViaProvider::user_send(Vi& vi, ViaHeader header, net::Buffer data,
             ViaHeader h = header;
             if (i == 0) h.flags |= kFirst;
             if (i + 1 == frags.size()) h.flags |= kLast;
-            if (h.flags & kRdma) {
-              h.rdma_offset =
-                  header.rdma_offset + static_cast<std::uint32_t>(offset);
-            }
+            h.offset = header.offset + static_cast<std::uint32_t>(offset);
 
             hw::Nic::TxRequest req;
             req.frame.dst = addresses_->macs_of(dst_node)[0];

@@ -10,9 +10,10 @@
 //    completion queue — low latency, 100% CPU while waiting (the trade-off
 //    CLIC's interrupt-driven design argues against);
 //  * unreliable delivery: a frame arriving at a VI with no posted receive
-//    descriptor is dropped (reliability is the application's problem), and
-//    with no sequence number on the wire a lost middle frame goes unseen
-//    and tears the message it belongs to;
+//    descriptor is dropped (reliability is the application's problem).
+//    Every frame carries its byte offset in its VI's send stream, so a lost
+//    frame inside a message aborts the message instead of completing it
+//    torn;
 //  * RDMA write into a remote registered region.
 #pragma once
 
@@ -39,9 +40,10 @@ struct Config {
 };
 
 struct ViaHeader {
-  std::uint16_t vi_id = 0;       // destination VI number
-  std::uint8_t flags = 0;        // bit0 first, bit1 last, bit2 rdma
-  std::uint32_t rdma_offset = 0;
+  std::uint16_t vi_id = 0;  // destination VI number
+  std::uint8_t flags = 0;   // bit0 first, bit1 last, bit2 rdma
+  std::uint32_t offset = 0;  // byte offset in the VI's send stream
+                             // (rdma: in the remote region)
   std::uint16_t src_node = 0;
 };
 inline constexpr std::int64_t kViaHeaderBytes = 8;
@@ -100,7 +102,9 @@ class Vi {
   int remote_node_ = -1;
   int remote_vi_ = -1;
   std::deque<std::int64_t> recv_descriptors_;
+  std::uint32_t sent_bytes_ = 0;   // send-stream offset of the next send
   net::MessageAssembler assembling_;
+  std::uint32_t next_offset_ = 0;  // stream offset the open message expects
   std::deque<Completion> cq_;
   std::int64_t region_capacity_ = 0;
   std::int64_t region_written_ = 0;

@@ -1,12 +1,18 @@
 // Unit tests for the CLIC reliable channel: windowing, cumulative acks,
-// retransmission, reordering, duplicates.
+// retransmission, reordering, duplicates, and a seeded reference-model
+// drive of two channels over a lossy wire in both clock modes.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "clic/channel.hpp"
 #include "hw/cpu.hpp"
 #include "os/kernel.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace clicsim::clic {
@@ -363,6 +369,170 @@ TEST(Channel, RetransmissionDoesNotRefireDescriptorCallback) {
     EXPECT_FALSE(static_cast<bool>(ops.emitted[i].on_descriptor_done));
   }
 }
+
+// --- Reference model: two channels over a lossy wire -------------------------
+
+// Two channels joined by a wire that drops, duplicates and delays (and so
+// reorders) frames from a seeded stream until `kHeal`, with a black-holed
+// stretch long enough for both channels to give up, then carries every
+// frame after a fixed latency. The reference model is the list of packets
+// each side handed to send(): the k-th send of a side gets seq k.
+constexpr sim::SimTime kLatency = sim::microseconds(20.0);
+constexpr sim::SimTime kOutageStart = sim::milliseconds(10.0);
+constexpr sim::SimTime kOutageEnd = sim::milliseconds(18.0);
+constexpr sim::SimTime kHeal = sim::milliseconds(30.0);
+// By then every retransmission ladder running at the heal has ended, so a
+// later send must succeed (rto_max below is 4 ms, its jitter 10%).
+constexpr sim::SimTime kSettled = kHeal + sim::milliseconds(10.0);
+
+struct Wire {
+  sim::Simulator sim;
+  hw::HostParams host;
+  hw::Cpu cpu{sim, host, "cpu"};
+  os::Kernel kern{sim, cpu};
+  sim::Rng rng;
+  std::array<Channel*, 2> channels{};
+
+  explicit Wire(std::uint64_t seed) : rng(seed, "clic-channel-wire") {}
+
+  // Carries a frame leaving `from` to the other side.
+  void carry(int from, const ClicHeader& header, const net::Buffer& payload) {
+    if (sim.now() >= kOutageStart && sim.now() < kOutageEnd) return;
+    int copies = 1;
+    if (sim.now() < kHeal) {
+      if (rng.bernoulli(0.15)) return;
+      if (rng.bernoulli(0.05)) copies = 2;
+    }
+    for (int c = 0; c < copies; ++c) {
+      sim::SimTime delay = kLatency;
+      if (sim.now() < kHeal && rng.bernoulli(0.2)) {
+        delay += rng.uniform_int(1, sim::microseconds(60.0));
+      }
+      sim.after(delay, [this, to = 1 - from, header, payload] {
+        channels[static_cast<std::size_t>(to)]->packet_in(header, {},
+                                                           payload);
+      });
+    }
+  }
+};
+
+struct WireEnd : ChannelOps {
+  Wire* wire;
+  int side;
+  std::vector<Packet> delivered;
+
+  WireEnd(Wire& w, int s) : wire(&w), side(s) {}
+  void emit_data(int, Packet& p) override {
+    wire->carry(side, p.header, p.payload);
+  }
+  void emit_ack(int, const ClicHeader& h) override {
+    wire->carry(side, h, net::Buffer::zeros(0));
+  }
+  void deliver(int, Packet p) override { delivered.push_back(std::move(p)); }
+  os::Kernel& kernel() override { return wire->kern; }
+};
+
+// What one side handed to send(), and how each send resolved.
+struct Sent {
+  net::Buffer payload;
+  sim::SimTime at = 0;
+  std::uint64_t gave_up_before = 0;  // the channel's gave_up() at send
+  int acked = 0;
+  int failed = 0;
+};
+
+class ChannelReferenceModel
+    : public ::testing::TestWithParam<std::tuple<bool, std::uint64_t>> {};
+
+TEST_P(ChannelReferenceModel, LossyWireThenHealMatchesTheSendList) {
+  const auto [adaptive, seed] = GetParam();
+  Config cfg;
+  cfg.adaptive = adaptive;
+  cfg.window_packets = 16;
+  cfg.rto = sim::microseconds(300.0);
+  cfg.rto_min = sim::microseconds(100.0);
+  cfg.rto_max = sim::milliseconds(4.0);
+  cfg.rto_jitter = 0.1;
+  cfg.max_retries = 3;
+  cfg.seed = seed;
+  Wire wire(seed);
+  std::array<WireEnd, 2> ends{WireEnd(wire, 0), WireEnd(wire, 1)};
+  Channel a(cfg, ends[0], 1);
+  Channel b(cfg, ends[1], 0);
+  wire.channels = {&a, &b};
+  std::array<std::vector<Sent>, 2> sent;
+
+  // Bursts from both sides through the lossy phase and after the heal.
+  sim::Rng bursts(seed, "clic-channel-bursts");
+  for (int burst = 0; burst < 24; ++burst) {
+    const int side = burst % 2;
+    const sim::SimTime at = burst * sim::milliseconds(2.5) +
+                            bursts.uniform_int(0, sim::microseconds(500.0));
+    const int count = static_cast<int>(bursts.uniform_int(1, 24));
+    wire.sim.at(at, [&, side, count] {
+      Channel& ch = side == 0 ? a : b;
+      auto& list = sent[static_cast<std::size_t>(side)];
+      for (int i = 0; i < count; ++i) {
+        const std::size_t k = list.size();
+        list.push_back(Sent{net::Buffer::pattern(
+                                40 + static_cast<std::int64_t>(k % 7) * 13,
+                                seed * 100000 + side * 10000 + k),
+                            wire.sim.now(), ch.gave_up()});
+        Packet p;
+        p.header.flags = flags::kFirstFragment | flags::kLastFragment;
+        p.payload = list.back().payload;
+        ch.send(std::move(p), [&list, k](bool ok) {
+          ++(ok ? list[k].acked : list[k].failed);
+        });
+      }
+    });
+  }
+  wire.sim.run();
+
+  for (int side = 0; side < 2; ++side) {
+    const Channel& tx = side == 0 ? a : b;
+    const auto& list = sent[static_cast<std::size_t>(side)];
+    const auto& got = ends[static_cast<std::size_t>(1 - side)].delivered;
+    SCOPED_TRACE(testing::Message() << "side " << side << ", "
+                                    << tx.gave_up() << " give-ups");
+    std::vector<bool> delivered(list.size(), false);
+    std::int64_t previous = -1;
+    for (const Packet& p : got) {
+      const std::uint32_t seq = p.header.seq;
+      ASSERT_LT(seq, list.size()) << "delivered a seq nobody sent";
+      ASSERT_GT(static_cast<std::int64_t>(seq), previous)
+          << "out of order or duplicated";
+      previous = seq;
+      EXPECT_TRUE(p.payload.content_equals(list[seq].payload)) << "seq " << seq;
+      delivered[seq] = true;
+    }
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      EXPECT_EQ(list[k].acked + list[k].failed, 1) << "send " << k;
+      if (list[k].acked == 1) {
+        EXPECT_TRUE(delivered[k]) << "acked send " << k << " never arrived";
+      }
+      if (list[k].gave_up_before == tx.gave_up()) {
+        EXPECT_TRUE(delivered[k]) << "send " << k << " after the last give-up";
+      }
+      if (list[k].at >= kSettled) {
+        EXPECT_EQ(list[k].acked, 1) << "send " << k << " on the healed wire";
+      }
+    }
+    if (tx.gave_up() == 0) {
+      EXPECT_EQ(got.size(), list.size());
+    }
+    EXPECT_GT(tx.retransmits(), 0u) << "the wire never lost a frame";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ChannelReferenceModel,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Range<std::uint64_t>(1, 9)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "adaptive" : "fixed") +
+             "_seed" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace clicsim::clic

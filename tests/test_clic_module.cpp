@@ -1,7 +1,10 @@
 // Integration tests for CLIC_MODULE: send modes, segmentation, integrity,
 // intra-node messaging, remote write, broadcast, kernel functions,
-// protection, port lifecycle, loss recovery and channel bonding.
+// protection, port lifecycle, loss recovery, a give-up in mid-message and
+// channel bonding.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "apps/testbed.hpp"
 #include "sim/task.hpp"
@@ -416,6 +419,57 @@ TEST(ClicModule, RecoversFromFrameLoss) {
   ASSERT_NE(ch, nullptr);
   EXPECT_GE(ch->retransmits(), 1u);
 }
+
+// A channel give-up while a message's packets are still entering the
+// channel: the rest of the message must not reach the peer, which would
+// append it to the reassembly the give-up left open. The send fails, and
+// nothing torn is delivered, whatever the send mode.
+class ClicGiveUpMidMessage : public ::testing::TestWithParam<clic::SendMode> {
+};
+
+sim::Task send_status(clic::ClicModule& m, net::Buffer data,
+                      clic::SendMode mode,
+                      std::optional<clic::SendStatus>* out) {
+  *out = co_await m.send(5, 1, 5, std::move(data), mode);
+}
+
+TEST_P(ClicGiveUpMidMessage, SendFailsAndNothingTornIsDelivered) {
+  clic::Config cfg;
+  cfg.rto = sim::microseconds(100.0);
+  cfg.max_retries = 1;
+  ClicBed bed({}, cfg);
+  bed.cluster.set_mtu_all(1500);
+  // Node 0's frames 3-199 vanish, so the channel gives up on the message's
+  // fourth packet while later packets are still being submitted.
+  for (std::uint64_t i = 3; i < 200; ++i) {
+    bed.cluster.link(0).faults(0).drop_frame_index(i);
+  }
+  bed.module(0).bind_port(5);
+  bed.module(1).bind_port(5);
+  const net::Buffer payload = net::Buffer::pattern(4 << 20, 61);
+  std::optional<clic::SendStatus> status;
+  send_status(bed.module(0), payload, GetParam(), &status);
+  bed.sim.run();
+
+  ASSERT_GE(bed.module(0).channel_to(1)->gave_up(), 1u);
+  ASSERT_TRUE(status.has_value()) << "the send never resolved";
+  EXPECT_FALSE(status->ok);
+  EXPECT_EQ(status->error, clic::SendError::kTimedOut);
+  while (bed.module(1).poll(5)) {
+    clic::Message got;
+    recv_one(bed.module(1), 5, &got);
+    bed.sim.run();
+    EXPECT_TRUE(got.data.content_equals(payload))
+        << "delivered a torn " << got.data.size() << " B message";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, ClicGiveUpMidMessage,
+    ::testing::Values(clic::SendMode::kSync, clic::SendMode::kAsync),
+    [](const auto& info) -> std::string {
+      return info.param == clic::SendMode::kSync ? "Sync" : "Async";
+    });
 
 // --- Channel bonding ----------------------------------------------------------------------
 

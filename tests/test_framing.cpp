@@ -1,10 +1,6 @@
 // Message framing written once (net::fragments, net::MessageAssembler) and
 // the protocols' reassembly under loss: a best-effort protocol must deliver
 // its sender's message byte for byte, or nothing.
-//
-// VIA is left out of the seeded loss sweep on purpose: its wire header
-// carries no sequence number, so a lost middle frame still tears a VIA
-// message.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -142,6 +138,57 @@ TEST(GammaReassembly, TwoSendersToOnePortBothArriveIntact) {
   EXPECT_NE(got[0].src_node, got[1].src_node);
   EXPECT_EQ(bed.module(2).dropped_no_port(), 0u);
 }
+
+// Completions on `vi`'s queue, taken after the traffic ended.
+sim::Task via_take(via::Vi& vi, std::vector<via::Completion>& out) {
+  out.push_back(co_await vi.poll_wait());
+}
+std::vector<via::Completion> via_drain(apps::ViaBed& bed, via::Vi& vi) {
+  std::vector<via::Completion> got;
+  while (vi.completions_pending() > 0) {
+    via_take(vi, got);
+    bed.run();
+  }
+  return got;
+}
+
+// Node 0 sends two 3,000 B messages (frames 0-2 and 3-5) to node 1, which
+// loses the frames GetParam() names on the switch -> node 1 direction:
+// a middle frame, or the first message's last frame with the second
+// message's first two. A byte offset counted within each message would
+// splice the second case into one 3,000 B message.
+class ViaFrameLoss
+    : public ::testing::TestWithParam<std::vector<std::uint64_t>> {};
+
+TEST_P(ViaFrameLoss, CompletesNoTornReceive) {
+  apps::ViaBed bed;
+  bed.cluster.set_mtu_all(1500);
+  via::Vi& a = bed.provider(0).create_vi();
+  via::Vi& b = bed.provider(1).create_vi();
+  a.connect(1, b.id());
+  b.connect(0, a.id());
+  b.post_recv(10000);
+  b.post_recv(10000);
+  for (const std::uint64_t frame : GetParam()) {
+    bed.cluster.link(1).faults(1).drop_frame_index(frame);
+  }
+  const net::Buffer first = net::Buffer::pattern(3000, 7);
+  const net::Buffer second = net::Buffer::pattern(3000, 8);
+  a.post_send(first);
+  a.post_send(second);
+  bed.run();
+
+  for (const auto& c : via_drain(bed, b)) {
+    EXPECT_TRUE(c.data.content_equals(first) ||
+                c.data.content_equals(second))
+        << "completed a torn " << c.data.size() << " B receive";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LostFrames, ViaFrameLoss,
+                         ::testing::Values(std::vector<std::uint64_t>{1},
+                                           std::vector<std::uint64_t>{2, 3,
+                                                                      4}));
 
 constexpr int kPort = 9;
 
@@ -281,6 +328,52 @@ TEST_P(ReassemblyUnderLoss, GammaTwoSenderMessagesArriveWholeOrNotAtAll) {
   }
   EXPECT_GT(got.size(), 0u);
   EXPECT_LT(got.size(), 2u * kMessages);  // the loss really tore messages
+}
+
+sim::Task via_send(via::Vi& vi, std::vector<net::Buffer> messages) {
+  for (auto& msg : messages) {
+    vi.post_send(std::move(msg));
+    (void)co_await vi.poll_wait();  // the send completion
+  }
+}
+
+TEST_P(ReassemblyUnderLoss, ViaTwoSenderMessagesArriveWholeOrNotAtAll) {
+  const std::uint64_t seed = GetParam();
+  os::ClusterConfig cc;
+  cc.nodes = 3;
+  apps::ViaBed bed(cc);
+  bed.cluster.set_mtu_all(1500);
+  arm_loss(bed.cluster, seed);
+  // Node 2 has one VI per sender, with a descriptor for every message, each
+  // large enough for any of them.
+  std::vector<via::Vi*> rx;
+  for (int src = 0; src < 2; ++src) {
+    via::Vi& tx = bed.provider(src).create_vi();
+    via::Vi& vi = bed.provider(2).create_vi();
+    tx.connect(2, vi.id());
+    vi.connect(src, tx.id());
+    for (int k = 0; k < kMessages; ++k) {
+      vi.post_recv(message_size(kMessages - 1));
+    }
+    via_send(tx, messages_of(seed, src));
+    rx.push_back(&vi);
+  }
+  bed.run();
+
+  std::size_t received = 0;
+  for (int src = 0; src < 2; ++src) {
+    for (const auto& c : via_drain(bed, *rx[static_cast<std::size_t>(src)])) {
+      ASSERT_EQ(c.src_node, src);
+      const int k = message_index(c.data.size());
+      ASSERT_GE(k, 0) << "torn " << c.data.size() << " B message from node "
+                      << src;
+      EXPECT_TRUE(c.data.content_equals(message(seed, src, k)))
+          << "message " << k << " of node " << src;
+      ++received;
+    }
+  }
+  EXPECT_GT(received, 0u);
+  EXPECT_LT(received, 2u * kMessages);  // the loss really tore messages
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReassemblyUnderLoss,
