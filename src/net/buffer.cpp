@@ -79,26 +79,25 @@ Buffer Buffer::detached() const {
   // Shared-immutable storage is already safe to cross shards (atomic
   // refcount, no home pool): keep aliasing instead of copying.
   if (storage_->shared) return *this;
-  auto copy =
-      detail::BlockRef::adopt(detail::acquire_data_block_unpooled(len_));
-  const auto src = data();
-  std::copy(src.begin(), src.end(), copy->bytes.data());
-  return Buffer{std::move(copy), 0, len_};
+  return Buffer{
+      detail::BlockRef::adopt(detail::acquire_data_block_unpooled(data())),
+      0, len_};
 }
 
 Buffer Buffer::shared() const {
   if (!storage_ || storage_->shared) return *this;
-  auto copy =
-      detail::BlockRef::adopt(detail::acquire_data_block_shared(len_));
-  const auto src = data();
-  std::copy(src.begin(), src.end(), copy->bytes.data());
-  return Buffer{std::move(copy), 0, len_};
+  return Buffer{
+      detail::BlockRef::adopt(detail::acquire_data_block_shared(data())),
+      0, len_};
 }
 
 bool Buffer::content_equals(const Buffer& other) const {
   if (len_ != other.len_) return false;
   if (!has_data() || !other.has_data()) return true;
   if (len_ == 0) return true;  // memcmp must not see a null data pointer
+  if (storage_.get() == other.storage_.get() && offset_ == other.offset_) {
+    return true;  // the very same bytes
+  }
   return std::memcmp(data().data(), other.data().data(),
                      static_cast<std::size_t>(len_)) == 0;
 }
@@ -109,16 +108,21 @@ void BufferChain::append(Buffer b) {
 }
 
 Buffer BufferChain::flatten() const {
-  bool all_data = !parts_.empty();
+  if (parts_.empty()) return Buffer::zeros(0);
+  // Parts that are slices of one block laid end to end, in order, already
+  // hold the message: hand back one slice of that block, no copy.
+  const Buffer& head = parts_.front();
+  bool tiles = head.has_data();
+  std::int64_t end = head.offset_;
   for (const auto& p : parts_) {
-    if (!p.has_data() && p.size() > 0) {
-      all_data = false;
-      break;
-    }
+    if (!p.has_data() && p.size() > 0) return Buffer::zeros(total_);
+    tiles = tiles && p.storage_.get() == head.storage_.get() &&
+            p.offset_ == end;
+    end += p.len_;
   }
-  if (!all_data) return Buffer::zeros(total_);
+  if (tiles) return Buffer{head.storage_, head.offset_, total_};
 
-  // Assemble straight into a (possibly recycled) block.
+  // Any other chain assembles straight into a (possibly recycled) block.
   auto storage = detail::BlockRef::adopt(detail::acquire_data_block(total_));
   std::byte* out = storage->bytes.data();
   for (const auto& p : parts_) {

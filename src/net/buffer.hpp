@@ -53,7 +53,9 @@ class Buffer {
   [[nodiscard]] std::uint64_t checksum() const;
 
   // True when both buffers have the same size and identical contents
-  // (size-only buffers compare equal to anything of equal size).
+  // (size-only buffers compare equal to anything of equal size). Two
+  // handles on the very same bytes (same block, offset and length) are
+  // equal without a byte compare.
   [[nodiscard]] bool content_equals(const Buffer& other) const;
 
   // Copy whose storage (if any) is a fresh unpooled heap block owned only
@@ -87,7 +89,7 @@ class Buffer {
   }
 
  private:
-  friend class BufferChain;  // flatten() assembles into a pooled block
+  friend class BufferChain;  // flatten() aliases or assembles a block
 
   Buffer(detail::BlockRef storage, std::int64_t offset, std::int64_t len)
       : storage_(std::move(storage)), offset_(offset), len_(len) {}
@@ -105,8 +107,15 @@ class BufferChain {
   [[nodiscard]] std::int64_t size() const { return total_; }
   [[nodiscard]] std::size_t fragments() const { return parts_.size(); }
 
-  // Concatenates all fragments. Data is materialized only when every
-  // fragment carries data; otherwise the result is size-only.
+  // Concatenates all fragments. The result carries data only when every
+  // fragment does; otherwise it is size-only. Fragments that are slices of
+  // one block laid end to end in order (a message cut from one buffer and
+  // put back together) come back as one slice of that block, with no
+  // allocation and no copy; any other chain is copied into a fresh pooled
+  // block. Either way the bytes are the fragments' concatenation, since
+  // blocks are never written after they are minted. An alias of a pooled
+  // block stays on its shard: Frame::detach re-mints a pooled payload as
+  // a shared block at every shard crossing.
   [[nodiscard]] Buffer flatten() const;
 
   void clear();

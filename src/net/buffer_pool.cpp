@@ -212,17 +212,17 @@ HeaderRec* acquire_header_rec(std::size_t payload_bytes) {
   return rec;
 }
 
-DataBlock* acquire_data_block_unpooled(std::int64_t size) {
+DataBlock* acquire_data_block_unpooled(std::span<const std::byte> bytes) {
   auto* b = new DataBlock;
-  b->bytes.resize(static_cast<std::size_t>(size));
+  b->bytes.assign(bytes.begin(), bytes.end());
   b->refs = 1;
   unpooled_data_mints.fetch_add(1, std::memory_order_relaxed);
   return b;
 }
 
-DataBlock* acquire_data_block_shared(std::int64_t size) {
+DataBlock* acquire_data_block_shared(std::span<const std::byte> bytes) {
   auto* b = new DataBlock;
-  b->bytes.resize(static_cast<std::size_t>(size));
+  b->bytes.assign(bytes.begin(), bytes.end());
   b->shared = true;
   b->shared_refs.store(1, std::memory_order_relaxed);
   shared_data_mint_count.fetch_add(1, std::memory_order_relaxed);

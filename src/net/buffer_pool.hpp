@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <typeinfo>
 #include <vector>
 
@@ -92,14 +93,18 @@ struct alignas(std::max_align_t) HeaderRec {
 
 // Pool-bypassing mints for cross-shard detach copies: the block/record is a
 // plain heap allocation with no home pool, so its final release (possibly
-// on another thread) never touches a thread-confined freelist.
-[[nodiscard]] DataBlock* acquire_data_block_unpooled(std::int64_t size);
+// on another thread) never touches a thread-confined freelist. The data
+// block is minted holding a copy of `bytes`, each byte written once.
+[[nodiscard]] DataBlock* acquire_data_block_unpooled(
+    std::span<const std::byte> bytes);
 [[nodiscard]] HeaderRec* acquire_header_rec_unpooled(std::size_t payload_bytes);
 
-// Shared-immutable mint (see DataBlock::shared): one payload copy that any
-// number of frames on any shards may alias — the copy-on-write flood path
-// and, via Frame::detach, every cross-shard unicast payload.
-[[nodiscard]] DataBlock* acquire_data_block_shared(std::int64_t size);
+// Shared-immutable mint (see DataBlock::shared) of a copy of `bytes`: one
+// payload copy that any number of frames on any shards may alias — the
+// copy-on-write flood path and, via Frame::detach, every cross-shard
+// unicast payload.
+[[nodiscard]] DataBlock* acquire_data_block_shared(
+    std::span<const std::byte> bytes);
 
 // Payload-copy accounting (process-wide, atomic): how many byte-carrying
 // blocks were deep-copied into unpooled confinement (Buffer::detached —

@@ -7,6 +7,9 @@
 // handle, and contents survive any slice/release/reacquire interleaving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -97,6 +100,18 @@ TEST(BufferContentEquals, DetectsMismatchAtEitherEnd) {
   EXPECT_TRUE(a.slice(1, 4095).content_equals(b.slice(1, 4095)));
   EXPECT_TRUE(a.slice(7, 0).content_equals(Buffer::pattern(0, 3)));
   EXPECT_TRUE(Buffer::pattern(0, 1).content_equals(Buffer::pattern(0, 2)));
+}
+
+// Two handles on the very same bytes are equal without a byte compare;
+// the shortcut must still tell apart slices of one block that start at
+// different offsets. (Flips at either end: DetectsMismatchAtEitherEnd.)
+TEST(BufferContentEquals, SameBytesShortcutStillComparesOffsets) {
+  const Buffer a = Buffer::pattern(4096, 21);
+  EXPECT_TRUE(a.content_equals(a));
+  EXPECT_TRUE(a.slice(100, 900).content_equals(a.slice(100, 900)));
+  EXPECT_TRUE(a.content_equals(Buffer::pattern(4096, 21)));
+  EXPECT_FALSE(a.slice(0, 900).content_equals(a.slice(1, 900)));
+  EXPECT_FALSE(a.slice(8, 900).content_equals(a.slice(0, 900)));
 }
 
 TEST(BufferChecksum, SizeOnlyTokenEncodesLength) {
@@ -213,6 +228,115 @@ TEST_P(PooledBuffer, FragmentationReassemblyKeepsIntegrityUnderRecycling) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PooledBuffer,
                          ::testing::Values(11u, 12u, 13u, 14u, 15u, 16u));
+
+// ---------------------------------------------------------------------------
+// flatten() aliases a chain of ordered slices of one block and copies any
+// other chain; both give exactly the concatenation of the parts.
+
+class FlattenPaths : public ::testing::Test {
+ protected:
+  // Pool data blocks handed out so far (minted or recycled).
+  [[nodiscard]] std::uint64_t acquisitions() const {
+    const auto s = pool_.stats();
+    return s.data_heap_allocs + s.data_reuses;
+  }
+
+  BufferPool pool_;
+  BufferPool::Scope scope_{&pool_};
+};
+
+std::vector<std::byte> concatenation(const std::vector<Buffer>& parts) {
+  std::vector<std::byte> out;
+  for (const auto& p : parts) {
+    out.insert(out.end(), p.data().begin(), p.data().end());
+  }
+  return out;
+}
+
+TEST_F(FlattenPaths, OrderedSlicesOfOneBlockComeBackAsThatBlock) {
+  const Buffer whole = Buffer::pattern(20000, 31);
+  BufferChain chain;
+  for (const auto& f : fragments(whole.size(), 1488, 12)) {
+    chain.append(whole.slice(f.offset, f.length));
+  }
+  const std::uint64_t before = acquisitions();
+  const Buffer flat = chain.flatten();
+  EXPECT_EQ(acquisitions(), before);
+  EXPECT_EQ(flat.storage_identity(), whole.storage_identity());
+  EXPECT_EQ(flat.data().data(), whole.data().data());
+  EXPECT_EQ(flat.size(), whole.size());
+
+  // A run that starts and ends inside the block aliases just that range.
+  BufferChain inner;
+  inner.append(whole.slice(100, 900));
+  inner.append(whole.slice(1000, 0));
+  inner.append(whole.slice(1000, 4000));
+  const Buffer mid = inner.flatten();
+  EXPECT_EQ(acquisitions(), before);
+  EXPECT_EQ(mid.data().data(), whole.data().data() + 100);
+  EXPECT_EQ(mid.size(), 4900);
+}
+
+TEST_F(FlattenPaths, SinglePartComesBackUnchanged) {
+  const Buffer whole = Buffer::pattern(5000, 32);
+  const Buffer part = whole.slice(300, 1200);
+  BufferChain chain;
+  chain.append(part);
+  const std::uint64_t before = acquisitions();
+  const Buffer flat = chain.flatten();
+  EXPECT_EQ(acquisitions(), before);
+  EXPECT_EQ(flat.storage_identity(), part.storage_identity());
+  EXPECT_EQ(flat.data().data(), part.data().data());
+  EXPECT_EQ(flat.size(), part.size());
+}
+
+TEST_F(FlattenPaths, EveryOtherChainIsCopiedIntoAFreshBlock) {
+  const Buffer a = Buffer::pattern(3000, 33);
+  const Buffer b = Buffer::pattern(3000, 34);
+  const struct {
+    const char* name;
+    std::vector<Buffer> parts;
+  } cases[] = {
+      {"gap", {a.slice(0, 1000), a.slice(1001, 999)}},
+      {"duplicate", {a.slice(0, 1000), a.slice(1000, 1000),
+                     a.slice(1000, 1000)}},
+      {"swapped", {a.slice(1000, 1000), a.slice(0, 1000)}},
+      {"two blocks", {a.slice(0, 1000), b.slice(1000, 1000)}},
+      {"shared copy", {a.slice(0, 1000), a.slice(1000, 1000).shared(),
+                       a.slice(2000, 1000)}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    BufferChain chain;
+    for (const auto& p : c.parts) chain.append(p);
+    const std::uint64_t before = acquisitions();
+    const Buffer flat = chain.flatten();
+    if (BufferPool::pooling_enabled()) {
+      EXPECT_EQ(acquisitions(), before + 1);
+    }
+    for (const auto& p : c.parts) {
+      EXPECT_NE(flat.storage_identity(), p.storage_identity());
+    }
+    const auto expect = concatenation(c.parts);
+    ASSERT_EQ(flat.size(), static_cast<std::int64_t>(expect.size()));
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), flat.data().begin(),
+                           flat.data().end()));
+  }
+
+  // A size-only part makes the whole result size-only; an empty chain is
+  // an empty size-only buffer. Neither touches the pool.
+  const std::uint64_t before = acquisitions();
+  BufferChain mixed;
+  mixed.append(a.slice(0, 1000));
+  mixed.append(Buffer::zeros(500));
+  const Buffer sized = mixed.flatten();
+  EXPECT_EQ(sized.size(), 1500);
+  EXPECT_FALSE(sized.has_data());
+  const Buffer none = BufferChain{}.flatten();
+  EXPECT_EQ(none.size(), 0);
+  EXPECT_FALSE(none.has_data());
+  EXPECT_EQ(acquisitions(), before);
+}
 
 // Recycling sanity without randomness: release the only handle, acquire a
 // same-class block, and observe actual reuse (this is what makes the

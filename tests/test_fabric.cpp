@@ -1,12 +1,14 @@
 // Multi-tier fabric tests: TopologyPlan validation, forwarding across
 // trunk hops (learning, flood containment, per-port tail drops), the
-// copy-on-write flood payload invariant, shard placement (leaf-local
+// copy-on-write flood payload invariant, zero-copy reassembly within a
+// shard and never across one, shard placement (leaf-local
 // traffic never crosses a shard boundary), sharded-vs-single determinism
 // on every topology, NIC-offloaded collectives, and fault orchestration
 // against a spine uplink.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -333,6 +335,89 @@ TEST(Fabric, CrossShardUnicastPerformsZeroPayloadDeepCopies) {
   // nothing — and nothing anywhere deep-copies.
   EXPECT_EQ(net::detail::shared_data_mints() - mints0, 1u);
   EXPECT_EQ(net::detail::unpooled_data_copies() - copies0, 0u);
+}
+
+// A multi-frame message put back together on its sender's shard is the
+// sender's buffer, with no copy. One that crossed a shard boundary arrives
+// as per-frame shared blocks and is copied into the receiver's own pool:
+// an alias of a pooled block never leaves the thread that owns its
+// refcount. Payloads are minted on the sending shard's thread.
+TEST(Fabric, ShardedReassemblyAliasesOnlyWithinItsShard) {
+  constexpr int kMessages = 3;
+  constexpr std::int64_t kBytes = 40000;  // five frames at MTU 9000
+  using Sent = std::array<net::Buffer, kMessages>;
+  os::ClusterConfig cc;
+  cc.nodes = 8;
+  cc.shards = 3;
+  cc.topology = os::TopologySpec::fat_tree(2);  // nodes 0-3 and 4-7
+  apps::ClicBed bed(cc);
+  bed.cluster.set_mtu_all(9000);
+  for (int n = 0; n < cc.nodes; ++n) bed.module(n).bind_port(7);
+
+  struct Run {
+    static sim::Task tx(clic::ClicModule& m, int src, int dst, Sent* sent,
+                        int* ok) {
+      for (int k = 0; k < kMessages; ++k) {
+        (*sent)[k] = net::Buffer::pattern(kBytes, src * 10 + k);
+        const auto st = co_await m.send(7, dst, 7, (*sent)[k],
+                                        clic::SendMode::kConfirmed);
+        if (st.ok) ++*ok;
+      }
+    }
+    static sim::Task rx(clic::ClicModule& m, int src, const Sent* sent,
+                        int* intact, int* aliased) {
+      for (int k = 0; k < kMessages; ++k) {
+        const clic::Message msg = co_await m.recv(7);
+        if (msg.src_node == src &&
+            msg.data.content_equals(
+                net::Buffer::pattern(kBytes, src * 10 + k))) {
+          ++*intact;
+        }
+        if (msg.data.storage_identity() == (*sent)[k].storage_identity()) {
+          ++*aliased;
+        }
+      }
+    }
+  };
+
+  // Two pairs behind one leaf (shards 0 and 1), two across the spine.
+  const std::pair<int, int> local[] = {{0, 1}, {4, 5}};
+  const std::pair<int, int> remote[] = {{2, 6}, {7, 3}};
+  std::vector<Sent> sent(static_cast<std::size_t>(cc.nodes));
+  std::vector<int> ok(sent.size(), 0);
+  std::vector<int> intact(sent.size(), 0);
+  std::vector<int> aliased(sent.size(), 0);
+  auto start = [&](int src, int dst) {
+    const auto s = static_cast<std::size_t>(src);
+    const auto d = static_cast<std::size_t>(dst);
+    bed.sim_of(src).at(0, [&bed, &sent, &ok, src, dst, s] {
+      Run::tx(bed.module(src), src, dst, &sent[s], &ok[s]);
+    });
+    Run::rx(bed.module(dst), src, &sent[s], &intact[d], &aliased[d]);
+  };
+  for (const auto& [src, dst] : local) {
+    ASSERT_EQ(bed.cluster.shard_of_node(src), bed.cluster.shard_of_node(dst));
+    start(src, dst);
+  }
+  for (const auto& [src, dst] : remote) {
+    ASSERT_NE(bed.cluster.shard_of_node(src), bed.cluster.shard_of_node(dst));
+    start(src, dst);
+  }
+  ASSERT_NE(bed.cluster.shard_of_node(0), bed.cluster.shard_of_node(4));
+
+  const std::uint64_t copies0 = net::detail::unpooled_data_copies();
+  bed.run();
+  EXPECT_EQ(net::detail::unpooled_data_copies() - copies0, 0u);
+  auto check = [&](const auto& pairs, int expect_aliased) {
+    for (const auto& [src, dst] : pairs) {
+      const auto d = static_cast<std::size_t>(dst);
+      EXPECT_EQ(ok[static_cast<std::size_t>(src)], kMessages) << src;
+      EXPECT_EQ(intact[d], kMessages) << src << " -> " << dst;
+      EXPECT_EQ(aliased[d], expect_aliased) << src << " -> " << dst;
+    }
+  };
+  check(local, kMessages);
+  check(remote, 0);
 }
 
 // --- Shard placement ----------------------------------------------------------

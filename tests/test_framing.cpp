@@ -1,12 +1,18 @@
-// Message framing written once (net::fragments, net::MessageAssembler) and
-// the protocols' reassembly under loss: a best-effort protocol must deliver
-// its sender's message byte for byte, or nothing.
+// Message framing written once (net::fragments, net::MessageAssembler), the
+// assembler against a seeded reference model, the protocols' reassembly
+// under loss (a best-effort protocol must deliver its sender's message byte
+// for byte, or nothing) and the zero-copy reassembly of whole messages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "apps/testbed.hpp"
+#include "net/buffer_pool.hpp"
+#include "sim/random.hpp"
 #include "sim/task.hpp"
 
 namespace clicsim {
@@ -106,6 +112,139 @@ TEST(MessageAssembler, FirstFragmentDiscardsAPartialMessage) {
   EXPECT_TRUE(a.add(fresh, true));
   EXPECT_TRUE(a.finish().content_equals(fresh));
 }
+
+// --- The assembler against a reference model ---------------------------------
+
+// Seeded adversarial streams: two patterned messages cut as a protocol cuts
+// them, whose fragments arrive interleaved, duplicated, swapped, dropped and
+// out of place. A last fragment finishes the open message, as in every
+// protocol, and now and then the stream aborts or finishes mid-message.
+// Every finish() must return the concatenation of the fragments added
+// since the last first fragment, and must alias the source message exactly
+// when those fragments are consecutive slices of it.
+class AdversarialAssembly : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(AdversarialAssembly, EveryFinishMatchesTheReferenceModel) {
+  const std::uint64_t seed = GetParam();
+  sim::Rng rng(seed, "assembler");
+  net::BufferPool pool;
+  net::BufferPool::Scope scope(&pool);
+
+  struct Source {
+    net::Buffer buffer;
+    std::vector<std::byte> bytes;
+    std::vector<net::Fragment> cut;
+    std::size_t next = 0;  // the fragment an in-order stream sends next
+  };
+  std::array<Source, 2> src;
+  for (std::size_t m = 0; m < src.size(); ++m) {
+    Source& s = src[m];
+    s.buffer = net::Buffer::pattern(rng.uniform_int(1, 12000), seed * 2 + m);
+    s.bytes.assign(s.buffer.data().begin(), s.buffer.data().end());
+    // One chunk for both, so a fragment of one message can sit right after
+    // the fragment of the other that ends at its offset.
+    s.cut = net::fragments(s.buffer.size(), 1000, 12);
+  }
+
+  struct Piece {
+    std::size_t msg;
+    net::Fragment frag;
+  };
+  net::MessageAssembler assembler;
+  bool open = false;  // the model: open flag and the pieces held
+  std::vector<Piece> held;
+  int aliased = 0;
+  int copied = 0;
+
+  auto finish = [&] {
+    const net::Buffer got = assembler.finish();
+    std::vector<std::byte> expect;
+    bool tiles = !held.empty();
+    for (std::size_t k = 0; k < held.size(); ++k) {
+      const auto& [m, f] = held[k];
+      const auto from = src[m].bytes.begin() + f.offset;
+      expect.insert(expect.end(), from, from + f.length);
+      if (k > 0) {
+        const Piece& prev = held[k - 1];
+        tiles = tiles && m == prev.msg &&
+                f.offset == prev.frag.offset + prev.frag.length;
+      }
+    }
+    ASSERT_EQ(got.size(), static_cast<std::int64_t>(expect.size()));
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), got.data().begin(),
+                           got.data().end()));
+    const bool alias =
+        !held.empty() &&
+        got.storage_identity() == src[held[0].msg].buffer.storage_identity();
+    EXPECT_EQ(alias, tiles) << held.size() << " pieces";
+    if (!held.empty()) ++(tiles ? aliased : copied);
+    held.clear();
+    open = false;
+  };
+  auto feed = [&](std::size_t m, std::size_t i) {
+    const net::Fragment f = src[m].cut[i];
+    const bool first = i == 0;
+    if (first) {
+      held.clear();
+      open = true;
+    }
+    if (open) held.push_back({m, f});
+    const bool accepted =
+        assembler.add(src[m].buffer.slice(f.offset, f.length), first);
+    EXPECT_EQ(accepted, open);
+    if (accepted && i + 1 == src[m].cut.size()) finish();
+  };
+
+  std::size_t m = 0;  // the message the stream is sending now
+  for (int step = 0; step < 1000; ++step) {
+    if (rng.uniform_int(0, 4) == 0) m = 1 - m;  // interleave
+    Source& s = src[m];
+    const std::size_t n = s.cut.size();
+    switch (rng.uniform_int(0, 19)) {
+      case 0:
+      case 1:  // duplicate the fragment sent last
+        feed(m, (s.next + n - 1) % n);
+        break;
+      case 2:
+      case 3:  // drop the next fragment
+        s.next = (s.next + 1) % n;
+        break;
+      case 4:
+      case 5:  // swap the next two
+        feed(m, (s.next + 1) % n);
+        feed(m, s.next);
+        s.next = (s.next + 2) % n;
+        break;
+      case 6:  // a stray fragment from anywhere in the message
+        feed(m, static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<std::int64_t>(n) - 1)));
+        break;
+      case 7:  // the protocol saw a gap
+        assembler.abort();
+        held.clear();
+        open = false;
+        break;
+      case 8:  // a finish before the last fragment
+        if (open) finish();
+        break;
+      default:
+        feed(m, s.next);
+        s.next = (s.next + 1) % n;
+    }
+    EXPECT_EQ(assembler.size(), [&] {
+      std::int64_t bytes = 0;
+      for (const Piece& p : held) bytes += p.frag.length;
+      return bytes;
+    }());
+  }
+  // The stream exercised both outcomes.
+  EXPECT_GT(aliased, 0);
+  EXPECT_GT(copied, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AdversarialAssembly,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 // --- Protocol regressions ----------------------------------------------------
 
@@ -237,6 +376,66 @@ TEST_P(ClicBroadcastLoss, TornBroadcastIsNotDelivered) {
 }
 
 INSTANTIATE_TEST_SUITE_P(LostFrame, ClicBroadcastLoss, ::testing::Values(0, 1));
+
+// --- Zero-copy reassembly end to end -----------------------------------------
+
+// Pool data blocks handed out so far (minted or recycled).
+std::uint64_t data_acquisitions(const net::BufferPool& pool) {
+  const auto s = pool.stats();
+  return s.data_heap_allocs + s.data_reuses;
+}
+
+// A 1 MiB message cut into MTU-9000 frames travels as slices of the
+// sender's buffer and is put back together as that buffer: the receiver
+// gets the sender's bytes with no host copy anywhere on the path.
+TEST(ZeroCopyReassembly, ClicMessageArrivesAsTheSendersBuffer) {
+  apps::ClicBed bed;
+  bed.cluster.set_mtu_all(9000);
+  bed.module(0).bind_port(kPort);
+  bed.module(1).bind_port(kPort);
+  const net::Buffer payload = net::Buffer::pattern(1 << 20, 41);
+  const std::uint64_t before = data_acquisitions(bed.pool);
+  auto tx = [](clic::ClicModule& m, net::Buffer data) -> sim::Task {
+    const auto st = co_await m.send(kPort, 1, kPort, std::move(data),
+                                    clic::SendMode::kConfirmed);
+    EXPECT_TRUE(st.ok);
+  };
+  std::vector<clic::Message> got;
+  tx(bed.module(0), payload);
+  clic_take(bed.module(1), got);
+  bed.run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].data.storage_identity(), payload.storage_identity());
+  EXPECT_TRUE(got[0].data.content_equals(payload));
+  EXPECT_EQ(data_acquisitions(bed.pool), before);
+}
+
+TEST(ZeroCopyReassembly, TcpStreamArrivesAsTheSendersBuffer) {
+  apps::TcpBed bed;
+  bed.cluster.set_mtu_all(9000);
+  bed.tcp[1]->listen(5000);
+  const net::Buffer payload = net::Buffer::pattern(1 << 20, 42);
+  const std::uint64_t before = data_acquisitions(bed.pool);
+  auto client = [](tcpip::TcpStack& tcp, net::Buffer data) -> sim::Task {
+    auto& s = tcp.create_socket();
+    const bool connected = co_await s.connect(1, 5000);
+    EXPECT_TRUE(connected);
+    const std::int64_t sent = co_await s.send(data);
+    EXPECT_EQ(sent, data.size());
+  };
+  auto server = [](tcpip::TcpStack& tcp, std::int64_t n,
+                   net::Buffer* out) -> sim::Task {
+    tcpip::TcpSocket* s = co_await tcp.accept(5000);
+    *out = co_await s->recv_exact(n);
+  };
+  net::Buffer got;
+  client(*bed.tcp[0], payload);
+  server(*bed.tcp[1], payload.size(), &got);
+  bed.run();
+  EXPECT_EQ(got.storage_identity(), payload.storage_identity());
+  EXPECT_TRUE(got.content_equals(payload));
+  EXPECT_EQ(data_acquisitions(bed.pool), before);
+}
 
 // --- Seeded loss sweep -------------------------------------------------------
 
