@@ -26,31 +26,12 @@ BondRow bond_point(bool fast_ethernet, int nics, int shards) {
 
   apps::ClicBed bed(s.cluster, s.clic);
   bed.cluster.set_mtu_all(s.mtu);
-  clic::Port a(bed.module(0), 1);
-  clic::Port b(bed.module(1), 1);
-  const std::int64_t message = 256 * 1024;
-  const std::int64_t count = 64;
-
-  struct Drive {
-    static sim::Task tx(clic::Port& p, std::int64_t m, std::int64_t c) {
-      for (std::int64_t i = 0; i < c; ++i) {
-        (void)co_await p.send(1, 1, net::Buffer::zeros(m));
-      }
-    }
-    static sim::Task rx(sim::Simulator& sim, clic::Port& p,
-                        std::int64_t c, sim::SimTime& t_end) {
-      for (std::int64_t i = 0; i < c; ++i) (void)co_await p.recv();
-      t_end = sim.now();
-    }
-  };
-  sim::SimTime t_end = 0;
-  Drive::tx(a, message, count);
-  Drive::rx(bed.sim_of(1), b, count, t_end);
-  bed.run();
+  // 64 messages of 256 KiB.
+  const apps::StreamStats st =
+      apps::clic_stream(bed, 256 * 1024, 64 * 256 * 1024);
 
   BondRow row;
-  row.mbps = static_cast<double>(message * count) * 8e3 /
-             static_cast<double>(t_end);
+  row.mbps = st.mbps;
   row.tx_pci_util = bed.cluster.node(0).pci().utilization();
   const auto* ch = bed.module(1).channel_to(0);
   row.reordered =

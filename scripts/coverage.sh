@@ -9,9 +9,12 @@
 # Builds build-cov/ (the repository) and build-cov-bench/ (benchmark/) in
 # Debug with -O1 --coverage -fno-inline, then runs the 23 bench and example
 # binaries (the ten figure binaries with -j 2 and with -j 1 --shards 2,
-# traffic_tail, pdes_scale, collective_scale and the examples without
+# traffic_tail and chaos_soak with and without --adaptive, pdes_scale on
+# the star and on each multi-tier topology at 1 and 4 shards,
+# collective_scale at 1 and 4 shards, the other examples without
 # arguments, micro_engine briefly) and clicbench's four workloads with
-# --seed 1 --seconds 0 --smoke. Prints `unrun N of M` over the instrumented
+# --seed 1 --seconds 0 --smoke: the shipped modes that scripts/same_output.sh
+# and tests/CMakeLists.txt run. Prints `unrun N of M` over the instrumented
 # src/ lines, taking each line's highest count over all runs, then each
 # src/ file's unrun line numbers.
 set -euo pipefail
@@ -34,7 +37,23 @@ run() {
 for src in bench/*.cpp; do
   name=$(basename "$src" .cpp)
   case "$name" in
-    traffic_tail | pdes_scale | collective_scale) run "build-cov/bench/$name" ;;
+    traffic_tail)
+      run "build-cov/bench/$name"
+      run "build-cov/bench/$name" --adaptive
+      ;;
+    pdes_scale)
+      run "build-cov/bench/$name"
+      for topology in fat-tree leaf-spine ring; do
+        for shards in 1 4; do
+          run "build-cov/bench/$name" --topology "$topology" --nodes 256 \
+            --shards "$shards"
+        done
+      done
+      ;;
+    collective_scale)
+      run "build-cov/bench/$name" --shards 1
+      run "build-cov/bench/$name" --shards 4
+      ;;
     micro_engine) run "build-cov/bench/$name" --benchmark_min_time=0.01 ;;
     *)
       run "build-cov/bench/$name" -j 2
@@ -45,6 +64,7 @@ done
 for src in examples/*.cpp; do
   run "build-cov/examples/$(basename "$src" .cpp)"
 done
+run build-cov/examples/chaos_soak --adaptive
 for w in pingpong-sweep rpc-poisson rpc-incast fabric-storm; do
   run build-cov-bench/clicbench --workload "$w" --seed 1 --seconds 0 --smoke
 done

@@ -4,7 +4,7 @@
 #include <sstream>
 #include <vector>
 
-#include "apps/testbed.hpp"
+#include "apps/adapters.hpp"
 #include "sim/task.hpp"
 
 namespace clicsim::apps {
@@ -226,9 +226,73 @@ void finalize_invariants(ChaosReport& r,
   }
 }
 
-// The stack-independent part of the report, read once the run has ended.
-void finish_report(ChaosReport& r, const std::vector<MessageState>& states,
-                   const sim::FaultPlan& plan, BedCore& bed) {
+// Whether a send resolved as delivered: CLIC's confirmed send says so; a
+// TCP send resolves once its bytes are queued on a live connection.
+bool sent_ok(const clic::SendStatus& status) { return status.ok; }
+bool sent_ok(std::int64_t /*queued*/) { return true; }
+
+// One message's two sides: the sender opens its End and sends, the
+// receiver checks what arrives against the expected pattern.
+template <typename End>
+sim::Task chaos_tx(End end, net::Buffer data, MessageState* st) {
+  const bool up = co_await end.open();
+  bool ok = up;
+  if (up) {
+    const auto status = co_await end.send(std::move(data));
+    ok = sent_ok(status);
+  }
+  end.close();
+  st->resolved = true;
+  st->ok = ok;
+}
+
+template <typename End>
+sim::Task chaos_rx(End end, net::Buffer expect, MessageState* st) {
+  (void)co_await end.open();
+  const auto got = co_await end.recv(expect.size());
+  const net::Buffer& data = payload(got);
+  if (data.size() == expect.size() && data.content_equals(expect)) {
+    ++st->delivered;
+  } else {
+    st->corrupt = true;
+  }
+  end.close();
+}
+
+// The campaign driver: arms the storm, launches message m's receiver
+// (`stack.rx`, which also opens the message's slot) and its sender
+// (`stack.tx`, made on the source's clock at the start time), runs to the
+// deadline and reports: `stack.report` first adds what only its stack
+// sees.
+template <typename Stack>
+ChaosReport campaign(const ChaosOptions& o, BedCore& bed, Stack stack) {
+  sim::FaultPlan plan(bed.sim, o.seed);
+  arm_fault_plan(plan, bed.cluster, o);
+
+  std::vector<MessageState> states(static_cast<std::size_t>(o.messages));
+  const std::vector<net::Buffer> payloads = chaos_payloads(o);
+  for (int m = 0; m < o.messages; ++m) {
+    const int src = chaos_src(m, o.nodes);
+    const int dst = chaos_dst(m, o.nodes);
+    MessageState* st = &states[static_cast<std::size_t>(m)];
+    // Each capture gets its own detached payload copy (made here, on the
+    // controlling thread): the tx copy travels to the source shard, the rx
+    // copy to the destination shard, and the shared pattern block in
+    // `payloads` is never touched off-thread.
+    bed.sim_of(src).at(
+        chaos_start(m, o),
+        [stack, m, src, dst, st,
+         data = payloads[static_cast<std::size_t>(m)].detached()]() mutable {
+          chaos_tx(stack.tx(m, src, dst), std::move(data), st);
+        });
+    chaos_rx(stack.rx(m, src, dst),
+             payloads[static_cast<std::size_t>(m)].detached(), st);
+  }
+
+  bed.run_until(o.deadline);
+
+  ChaosReport r{.stack = o.stack, .seed = o.seed, .messages = o.messages};
+  stack.report(o, states, r);
   finalize_invariants(r, states);
   r.quiesced = !bed.pending();
   r.timers_clean = timers_clean(bed.cluster);
@@ -236,169 +300,70 @@ void finish_report(ChaosReport& r, const std::vector<MessageState>& states,
   r.fault_events = plan.faults_fired();
   r.finished_at = bed.now();
   collect_fault_telemetry(r, bed.cluster);
-}
-
-ChaosReport run_clic(const ChaosOptions& o) {
-  clic::Config clc;
-  clc.seed = o.seed;
-  // Desynchronize retransmission across channels that black-hole together;
-  // jitter is off by default to keep the figure baselines bit-identical.
-  clc.rto_jitter = 0.25;
-  clc.adaptive = o.adaptive;
-  ClicBed bed(chaos_cluster(o), clc);
-
-  sim::FaultPlan plan(bed.sim, o.seed);
-  arm_fault_plan(plan, bed.cluster, o);
-
-  // One CLIC port per message keeps delivery accounting per-message: a
-  // second arrival on a port whose receiver already completed is a
-  // duplicate and shows up through poll().
-  std::vector<MessageState> states(static_cast<std::size_t>(o.messages));
-  const std::vector<net::Buffer> payloads = chaos_payloads(o);
-  for (int m = 0; m < o.messages; ++m) {
-    bed.module(chaos_dst(m, o.nodes)).bind_port(10 + m);
-    bed.module(chaos_src(m, o.nodes)).bind_port(10 + m);
-  }
-
-  struct Run {
-    static sim::Task tx(clic::ClicModule& mod, int dst, int port,
-                        net::Buffer data, MessageState* st) {
-      auto status = co_await mod.send(port, dst, port, std::move(data),
-                                      clic::SendMode::kConfirmed);
-      st->resolved = true;
-      st->ok = status.ok;
-    }
-    static sim::Task rx(clic::ClicModule& mod, int port, net::Buffer expect,
-                        MessageState* st) {
-      clic::Message got = co_await mod.recv(port);
-      if (got.data.size() == expect.size() &&
-          got.data.content_equals(expect)) {
-        ++st->delivered;
-      } else {
-        st->corrupt = true;
-      }
-    }
-  };
-
-  for (int m = 0; m < o.messages; ++m) {
-    const sim::SimTime start = chaos_start(m, o);
-    MessageState* st = &states[static_cast<std::size_t>(m)];
-    // Each capture gets its own detached payload copy (made here, on the
-    // controlling thread): the tx copy travels to the source shard, the rx
-    // copy to the destination shard, and the shared pattern block in
-    // `payloads` is never touched off-thread.
-    bed.sim_of(chaos_src(m, o.nodes))
-        .at(start, [&bed, m, st, nodes = o.nodes,
-                    data = payloads[static_cast<std::size_t>(m)]
-                               .detached()]() mutable {
-          Run::tx(bed.module(chaos_src(m, nodes)), chaos_dst(m, nodes),
-                  10 + m, std::move(data), st);
-        });
-    Run::rx(bed.module(chaos_dst(m, o.nodes)), 10 + m,
-            payloads[static_cast<std::size_t>(m)].detached(), st);
-  }
-
-  bed.run_until(o.deadline);
-
-  // A duplicate that arrived after the receiver completed is still queued
-  // on the port.
-  for (int m = 0; m < o.messages; ++m) {
-    if (bed.module(chaos_dst(m, o.nodes)).poll(10 + m)) {
-      ++states[static_cast<std::size_t>(m)].delivered;
-    }
-  }
-
-  ChaosReport r{.stack = ChaosStack::kClic,
-                .seed = o.seed,
-                .messages = o.messages};
-  finish_report(r, states, plan, bed);
-  for (int i = 0; i < bed.cluster.size(); ++i) {
-    for (int peer = 0; peer < bed.cluster.size(); ++peer) {
-      const clic::Channel* ch = bed.module(i).channel_to(peer);
-      if (ch == nullptr) continue;
-      r.retransmits += ch->retransmits();
-      r.timeouts += ch->timeouts();
-      r.gave_up += ch->gave_up();
-      r.resets_accepted += ch->resets_accepted();
-    }
-  }
-  if (o.adaptive) {
-    r.adaptive = true;
-    clic::ClicModule::AdaptiveStats s;
-    for (int i = 0; i < bed.cluster.size(); ++i) {
-      s.merge(bed.module(i).adaptive_stats());
-    }
-    r.rtt_samples = s.rtt_samples;
-    r.window_collapses = s.window_collapses;
-    r.srtt_max = s.srtt_max;
-    r.rttvar_max = s.rttvar_max;
-    r.window_min = s.window_min;
-    r.window_max = s.window_max;
-  }
   return r;
 }
 
-ChaosReport run_tcp(const ChaosOptions& o) {
-  TcpBed bed(chaos_cluster(o));
+// CLIC: one port per message keeps delivery accounting per message: a
+// second arrival on a port whose receiver already completed is a
+// duplicate and shows up through poll().
+struct ClicCampaign {
+  ClicBed* bed;
 
-  sim::FaultPlan plan(bed.sim, o.seed);
-  arm_fault_plan(plan, bed.cluster, o);
-
-  std::vector<MessageState> states(static_cast<std::size_t>(o.messages));
-  const std::vector<net::Buffer> payloads = chaos_payloads(o);
-  for (int m = 0; m < o.messages; ++m) {
-    bed.tcp[static_cast<std::size_t>(chaos_dst(m, o.nodes))]->listen(5000 +
-                                                                     m);
+  ClicEnd tx(int m, int src, int dst) const {
+    return {{}, &bed->module(src), 10 + m, dst, 10 + m,
+            clic::SendMode::kConfirmed};
+  }
+  ClicEnd rx(int m, int src, int dst) const {
+    bed->module(dst).bind_port(10 + m);
+    bed->module(src).bind_port(10 + m);
+    return {{}, &bed->module(dst), 10 + m, src, 10 + m};
   }
 
-  struct Run {
-    static sim::Task tx(tcpip::TcpStack& stack, int dst, int port,
-                        net::Buffer data, MessageState* st) {
-      tcpip::TcpSocket& s = stack.create_socket();
-      const bool up = co_await s.connect(dst, port);
-      if (up) {
-        (void)co_await s.send(std::move(data));
+  // Counts the duplicates still queued on the ports, then the channels'
+  // degradation and, in adaptive mode, the estimator's telemetry.
+  void report(const ChaosOptions& o, std::vector<MessageState>& states,
+              ChaosReport& r) const {
+    for (int m = 0; m < o.messages; ++m) {
+      if (bed->module(chaos_dst(m, o.nodes)).poll(10 + m)) {
+        ++states[static_cast<std::size_t>(m)].delivered;
       }
-      s.close();
-      st->resolved = true;
-      st->ok = up;
     }
-    static sim::Task rx(tcpip::TcpStack& stack, int port, net::Buffer expect,
-                        MessageState* st) {
-      tcpip::TcpSocket* s = co_await stack.accept(port);
-      net::Buffer got = co_await s->recv_exact(expect.size());
-      if (got.size() == expect.size() && got.content_equals(expect)) {
-        ++st->delivered;
-      } else {
-        st->corrupt = true;
+    const int n = bed->cluster.size();
+    for (int i = 0; i < n; ++i) {
+      for (int peer = 0; peer < n; ++peer) {
+        const clic::Channel* ch = bed->module(i).channel_to(peer);
+        if (ch == nullptr) continue;
+        r.retransmits += ch->retransmits();
+        r.timeouts += ch->timeouts();
+        r.gave_up += ch->gave_up();
+        r.resets_accepted += ch->resets_accepted();
       }
-      s->close();
     }
-  };
-
-  for (int m = 0; m < o.messages; ++m) {
-    const sim::SimTime start = chaos_start(m, o);
-    MessageState* st = &states[static_cast<std::size_t>(m)];
-    // Detached copies per capture, as in the CLIC run.
-    bed.sim_of(chaos_src(m, o.nodes))
-        .at(start, [&bed, m, st, nodes = o.nodes,
-                    data = payloads[static_cast<std::size_t>(m)]
-                               .detached()]() mutable {
-          Run::tx(*bed.tcp[static_cast<std::size_t>(chaos_src(m, nodes))],
-                  chaos_dst(m, nodes), 5000 + m, std::move(data), st);
-        });
-    Run::rx(*bed.tcp[static_cast<std::size_t>(chaos_dst(m, o.nodes))],
-            5000 + m, payloads[static_cast<std::size_t>(m)].detached(), st);
+    r.adaptive = o.adaptive;
+    if (!o.adaptive) return;
+    for (int i = 0; i < n; ++i) {
+      r.adaptive_stats.merge(bed->module(i).adaptive_stats());
+    }
   }
+};
 
-  bed.run_until(o.deadline);
+// TCP: one connection per message, to a port of its own.
+struct TcpCampaign {
+  TcpBed* bed;
 
-  ChaosReport r{.stack = ChaosStack::kTcp,
-                .seed = o.seed,
-                .messages = o.messages};
-  finish_report(r, states, plan, bed);
-  return r;
-}
+  TcpDial tx(int m, int src, int dst) const {
+    return {{{}, &bed->tcp[static_cast<std::size_t>(src)]->create_socket()},
+            dst,
+            5000 + m};
+  }
+  TcpAccept rx(int m, int, int dst) const {
+    tcpip::TcpStack* stack = bed->tcp[static_cast<std::size_t>(dst)].get();
+    stack->listen(5000 + m);
+    return {{}, stack, 5000 + m};
+  }
+  static void report(const ChaosOptions&, std::vector<MessageState>&,
+                     ChaosReport&) {}
+};
 
 }  // namespace
 
@@ -476,10 +441,11 @@ std::string ChaosReport::summary() const {
   if (adaptive) {
     // Appended only for adaptive campaigns: the non-adaptive digest stays
     // byte-identical to the fixed-clock harness.
-    os << " adaptive=1 rtt_samples=" << rtt_samples
-       << " collapses=" << window_collapses << " srtt_ns=" << srtt_max
-       << " rttvar_ns=" << rttvar_max << " win=" << window_min << ".."
-       << window_max;
+    const auto& a = adaptive_stats;
+    os << " adaptive=1 rtt_samples=" << a.rtt_samples
+       << " collapses=" << a.window_collapses << " srtt_ns=" << a.srtt_max
+       << " rttvar_ns=" << a.rttvar_max << " win=" << a.window_min << ".."
+       << a.window_max;
   }
   return os.str();
 }
@@ -488,7 +454,18 @@ ChaosReport run_chaos_campaign(const ChaosOptions& options) {
   ChaosOptions o = options;
   o.nodes = std::max(o.nodes, 2);
   o.messages = std::clamp(o.messages, 1, 200);
-  return o.stack == ChaosStack::kClic ? run_clic(o) : run_tcp(o);
+  if (o.stack == ChaosStack::kTcp) {
+    TcpBed bed(chaos_cluster(o));
+    return campaign(o, bed, TcpCampaign{&bed});
+  }
+  clic::Config clc;
+  clc.seed = o.seed;
+  // Desynchronize retransmission across channels that black-hole together;
+  // jitter is off by default to keep the figure baselines bit-identical.
+  clc.rto_jitter = 0.25;
+  clc.adaptive = o.adaptive;
+  ClicBed bed(chaos_cluster(o), clc);
+  return campaign(o, bed, ClicCampaign{&bed});
 }
 
 }  // namespace clicsim::apps

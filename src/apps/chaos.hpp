@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string>
 
+#include "clic/module.hpp"
 #include "os/cluster.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/time.hpp"
@@ -93,12 +94,7 @@ struct ChaosReport {
   // when ChaosOptions::adaptive ran a CLIC campaign, so non-adaptive
   // summaries stay byte-identical to the fixed-clock harness).
   bool adaptive = false;
-  std::uint64_t rtt_samples = 0;
-  std::uint64_t window_collapses = 0;
-  sim::SimTime srtt_max = 0;
-  sim::SimTime rttvar_max = 0;
-  int window_min = 0;
-  int window_max = 0;
+  clic::ClicModule::AdaptiveStats adaptive_stats{};
 
   sim::SimTime finished_at = 0;  // sim clock when the run went idle
 

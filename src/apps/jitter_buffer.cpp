@@ -5,8 +5,7 @@
 
 namespace clicsim::apps {
 
-JitterBuffer::JitterBuffer(sim::Simulator& sim, int sig_digits)
-    : sim_(&sim), latency_(sig_digits) {}
+JitterBuffer::JitterBuffer(sim::Simulator& sim) : sim_(&sim) {}
 
 void JitterBuffer::expect_frame(std::uint32_t frame, int fragments,
                                 sim::SimTime generated, sim::SimTime deadline) {

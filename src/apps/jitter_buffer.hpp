@@ -36,8 +36,7 @@ namespace clicsim::apps {
 
 class JitterBuffer {
  public:
-  // `sig_digits` configures the latency histogram's HDR precision.
-  explicit JitterBuffer(sim::Simulator& sim, int sig_digits = 3);
+  explicit JitterBuffer(sim::Simulator& sim);
 
   // Registers frame `frame` (dense, ascending from 0) of `fragments`
   // pieces, generated at `generated`, to be played at `deadline`

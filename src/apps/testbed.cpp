@@ -117,22 +117,16 @@ sim::Future<bool> MpiTcpBed::connect() {
 
 PvmBed::PvmBed(os::ClusterConfig cluster_config, tcpip::Config tcp_config,
                pvm::Config config)
-    : bed((cluster_config.shards = 1, std::move(cluster_config)), tcp_config),
-      pvm_config(config) {
+    : bed((cluster_config.shards = 1, std::move(cluster_config)), tcp_config) {
   const int n = bed.cluster.size();
   for (int i = 0; i < n; ++i) {
     transports.push_back(
         std::make_unique<mpi::TcpTransport>(*bed.tcp[i], i, n, 7600));
+    tasks.push_back(std::make_unique<pvm::PvmTask>(*transports.back(), config));
   }
 }
 
 sim::Future<bool> PvmBed::connect() {
-  if (!tasks_built_) {
-    tasks_built_ = true;
-    for (auto& t : transports) {
-      tasks.push_back(std::make_unique<pvm::PvmTask>(*t, pvm_config));
-    }
-  }
   return mpi::connect_tcp_mesh(transports);
 }
 

@@ -135,7 +135,6 @@ struct PvmBed {
   TcpBed bed;
   std::vector<std::unique_ptr<mpi::TcpTransport>> transports;
   std::vector<std::unique_ptr<pvm::PvmTask>> tasks;
-  pvm::Config pvm_config;
 
   explicit PvmBed(os::ClusterConfig cluster_config = {},
                   tcpip::Config tcp_config = {}, pvm::Config config = {});
@@ -145,9 +144,6 @@ struct PvmBed {
     return *tasks.at(static_cast<std::size_t>(tid));
   }
   [[nodiscard]] sim::Simulator& sim() { return bed.sim; }
-
- private:
-  bool tasks_built_ = false;
 };
 
 // N nodes running GAMMA.

@@ -1,15 +1,16 @@
 #include "apps/workloads.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "apps/adapters.hpp"
 #include "apps/chaos.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/random.hpp"
@@ -24,309 +25,94 @@ double to_mbps(std::int64_t size, sim::SimTime one_way) {
 
 namespace {
 
-// Shared ping-pong skeleton: `leg(dst)` sends one message to the peer,
-// `take()` blocks for one inbound message. The initiator measures reps
-// round trips after one warm-up.
-struct PingPongClock {
-  sim::SimTime t0 = 0;
-  sim::SimTime t1 = 0;
-  int reps = 5;
+// --- Ping-pong (NetPIPE-style) --------------------------------------------------
 
-  [[nodiscard]] sim::SimTime one_way() const {
-    return (t1 - t0) / (2 * reps);
+// The two sides of one exchange of `size`-byte messages: `ping` sends and
+// awaits the echo reps + 1 times and times the last reps (t[0] to t[1]);
+// `pong` echoes each message back.
+template <typename End>
+sim::Task ping(sim::Simulator& sim, End end, std::int64_t size, int reps,
+               sim::SimTime* t) {
+  (void)co_await end.open();
+  for (int i = 0; i <= reps; ++i) {
+    (void)co_await end.send(net::Buffer::zeros(size));
+    (void)co_await end.sent();
+    auto echo = co_await end.recv(size);
+    (void)co_await end.received(echo, size);
+    if (i == 0) t[0] = sim.now();
   }
-};
-
-}  // namespace
-
-// --- CLIC -----------------------------------------------------------------------
-
-namespace {
-sim::Task clic_pp_initiator(sim::Simulator& sim, clic::Port& port,
-                            std::int64_t size, PingPongClock& clock) {
-  (void)co_await port.send(1, 1, net::Buffer::zeros(size));
-  (void)co_await port.recv();
-  clock.t0 = sim.now();
-  for (int i = 0; i < clock.reps; ++i) {
-    (void)co_await port.send(1, 1, net::Buffer::zeros(size));
-    (void)co_await port.recv();
-  }
-  clock.t1 = sim.now();
+  t[1] = sim.now();
 }
 
-sim::Task clic_pp_responder(clic::Port& port, std::int64_t size, int reps) {
-  for (int i = 0; i < reps + 1; ++i) {
-    (void)co_await port.recv();
-    (void)co_await port.send(0, 1, net::Buffer::zeros(size));
-  }
-}
-}  // namespace
-
-sim::SimTime clic_one_way(const Scenario& s, std::int64_t size) {
-  ClicBed bed(s.cluster, s.clic);
-  bed.cluster.set_mtu_all(s.mtu);
-  clic::Port a(bed.module(0), 1);
-  clic::Port b(bed.module(1), 1);
-  PingPongClock clock;
-  clock.reps = s.pingpong_reps;
-  clic_pp_initiator(bed.sim_of(0), a, size, clock);
-  clic_pp_responder(b, size, clock.reps);
-  bed.run();
-  return clock.one_way();
-}
-
-// --- TCP ------------------------------------------------------------------------
-
-namespace {
-sim::Task tcp_pp_initiator(sim::Simulator& sim, tcpip::TcpStack& stack,
-                           std::int64_t size, PingPongClock& clock) {
-  auto& sock = stack.create_socket();
-  (void)co_await sock.connect(1, 5000);
-  (void)co_await sock.send(net::Buffer::zeros(size));
-  (void)co_await sock.recv_exact(size);
-  clock.t0 = sim.now();
-  for (int i = 0; i < clock.reps; ++i) {
-    (void)co_await sock.send(net::Buffer::zeros(size));
-    (void)co_await sock.recv_exact(size);
-  }
-  clock.t1 = sim.now();
-}
-
-sim::Task tcp_pp_responder(tcpip::TcpStack& stack, std::int64_t size,
-                           int reps) {
-  tcpip::TcpSocket* sock = co_await stack.accept(5000);
-  for (int i = 0; i < reps + 1; ++i) {
-    (void)co_await sock->recv_exact(size);
-    (void)co_await sock->send(net::Buffer::zeros(size));
-  }
-}
-}  // namespace
-
-sim::SimTime tcp_one_way(const Scenario& s, std::int64_t size) {
-  TcpBed bed(s.cluster, s.tcp);
-  bed.cluster.set_mtu_all(s.mtu);
-  bed.tcp[1]->listen(5000);
-  PingPongClock clock;
-  clock.reps = s.pingpong_reps;
-  tcp_pp_initiator(bed.sim_of(0), *bed.tcp[0], std::max<std::int64_t>(size, 1),
-                   clock);
-  tcp_pp_responder(*bed.tcp[1], std::max<std::int64_t>(size, 1), clock.reps);
-  bed.run();
-  return clock.one_way();
-}
-
-// --- MPI ------------------------------------------------------------------------
-
-namespace {
-sim::Task mpi_pp_initiator(sim::Simulator& sim, mpi::Communicator& comm,
-                           std::int64_t size, PingPongClock& clock) {
-  (void)co_await comm.send(1, 7, net::Buffer::zeros(size));
-  (void)co_await comm.recv(1, 7);
-  clock.t0 = sim.now();
-  for (int i = 0; i < clock.reps; ++i) {
-    (void)co_await comm.send(1, 7, net::Buffer::zeros(size));
-    (void)co_await comm.recv(1, 7);
-  }
-  clock.t1 = sim.now();
-}
-
-sim::Task mpi_pp_responder(mpi::Communicator& comm, std::int64_t size,
-                           int reps) {
-  for (int i = 0; i < reps + 1; ++i) {
-    (void)co_await comm.recv(0, 7);
-    (void)co_await comm.send(0, 7, net::Buffer::zeros(size));
+template <typename End>
+sim::Task pong(End end, std::int64_t size, int reps) {
+  (void)co_await end.open();
+  for (int i = 0; i <= reps; ++i) {
+    auto m = co_await end.recv(size);
+    (void)co_await end.received(m, size);
+    (void)co_await end.send(net::Buffer::zeros(size));
+    (void)co_await end.sent();
   }
 }
 
-sim::Task mpi_tcp_pp_all(MpiTcpBed& bed, std::int64_t size,
-                         PingPongClock& clock) {
-  const bool ok = co_await bed.connect();
+// Starts both sides once `up` resolves: the TCP mesh under MPI and PVM, a
+// Ready (which starts them at once) elsewhere.
+template <typename Up, typename A, typename B>
+sim::Task start_ping_pong(Up up, sim::Simulator& sim, A a, B b,
+                          std::int64_t size, int reps, sim::SimTime* t) {
+  const bool ok = co_await up;
   if (!ok) co_return;
-  mpi_pp_initiator(bed.sim(), bed.comm(0), size, clock);
-  mpi_pp_responder(bed.comm(1), size, clock.reps);
+  ping(sim, std::move(a), size, reps, t);
+  pong(std::move(b), size, reps);
 }
-}  // namespace
 
-sim::SimTime mpi_clic_one_way(const Scenario& s, std::int64_t size) {
-  MpiClicBed bed(s.cluster, s.clic, s.mpi);
-  bed.bed.cluster.set_mtu_all(s.mtu);
-  PingPongClock clock;
-  clock.reps = s.pingpong_reps;
-  mpi_pp_initiator(bed.sim(), bed.comm(0), size, clock);
-  mpi_pp_responder(bed.comm(1), size, clock.reps);
-  // Group-wide run: the CLIC bed shards, and sim().run() alone would
-  // silently simulate only shard 0's slice (rank 1 never answers).
+// The ping-pong driver: node 0's `a` against node 1's `b`.
+template <typename A, typename B, typename Up = Ready>
+sim::SimTime ping_pong(BedCore& bed, int reps, std::int64_t size, A a, B b,
+                       Up up = {}) {
+  if (reps < 1) throw std::invalid_argument("ping-pong: pingpong_reps < 1");
+  sim::SimTime t[2] = {0, 0};
+  start_ping_pong(std::move(up), bed.sim_of(0), std::move(a), std::move(b),
+                  size, reps, t);
   bed.run();
-  return clock.one_way();
+  return (t[1] - t[0]) / (2 * reps);
 }
 
-sim::SimTime mpi_tcp_one_way(const Scenario& s, std::int64_t size) {
-  MpiTcpBed bed(s.cluster, s.tcp, s.mpi);
-  bed.bed.cluster.set_mtu_all(s.mtu);
-  PingPongClock clock;
-  clock.reps = s.pingpong_reps;
-  mpi_tcp_pp_all(bed, size, clock);
-  bed.sim().run();
-  return clock.one_way();
-}
+// --- Windowed stream ---------------------------------------------------------------
 
-// --- PVM ------------------------------------------------------------------------
-
-namespace {
-sim::Task pvm_pp_initiator(sim::Simulator& sim, pvm::PvmTask& task,
-                           std::int64_t size, PingPongClock& clock) {
-  for (int i = 0; i < clock.reps + 1; ++i) {
-    task.initsend();
-    (void)co_await task.pack(net::Buffer::zeros(size));
-    (void)co_await task.send(1, 7);
-    pvm::PvmMessage m = co_await task.recv(1, 7);
-    (void)co_await task.unpack(m, size);
-    if (i == 0) clock.t0 = sim.now();
-  }
-  clock.t1 = sim.now();
-}
-
-sim::Task pvm_pp_responder(pvm::PvmTask& task, std::int64_t size, int reps) {
-  for (int i = 0; i < reps + 1; ++i) {
-    pvm::PvmMessage m = co_await task.recv(0, 7);
-    (void)co_await task.unpack(m, size);
-    task.initsend();
-    (void)co_await task.pack(net::Buffer::zeros(size));
-    (void)co_await task.send(0, 7);
-  }
-}
-
-sim::Task pvm_pp_all(PvmBed& bed, std::int64_t size, PingPongClock& clock) {
-  const bool ok = co_await bed.connect();
-  if (!ok) co_return;
-  pvm_pp_initiator(bed.sim(), bed.task(0), size, clock);
-  pvm_pp_responder(bed.task(1), size, clock.reps);
-}
-}  // namespace
-
-sim::SimTime pvm_one_way(const Scenario& s, std::int64_t size) {
-  PvmBed bed(s.cluster, s.tcp, s.pvm);
-  bed.bed.cluster.set_mtu_all(s.mtu);
-  PingPongClock clock;
-  clock.reps = s.pingpong_reps;
-  pvm_pp_all(bed, size, clock);
-  bed.sim().run();
-  return clock.one_way();
-}
-
-// --- GAMMA ----------------------------------------------------------------------
-
-namespace {
-sim::Task gamma_pp_initiator(sim::Simulator& sim, gamma::GammaModule& mod,
-                             std::int64_t size, PingPongClock& clock) {
-  (void)co_await mod.send(1, 1, net::Buffer::zeros(size));
-  (void)co_await mod.recv(1);
-  clock.t0 = sim.now();
-  for (int i = 0; i < clock.reps; ++i) {
-    (void)co_await mod.send(1, 1, net::Buffer::zeros(size));
-    (void)co_await mod.recv(1);
-  }
-  clock.t1 = sim.now();
-}
-
-sim::Task gamma_pp_responder(gamma::GammaModule& mod, std::int64_t size,
-                             int reps) {
-  for (int i = 0; i < reps + 1; ++i) {
-    (void)co_await mod.recv(1);
-    (void)co_await mod.send(0, 1, net::Buffer::zeros(size));
-  }
-}
-}  // namespace
-
-sim::SimTime gamma_one_way(const Scenario& s, std::int64_t size) {
-  GammaBed bed(s.cluster, s.gamma);
-  bed.cluster.set_mtu_all(std::min(s.mtu, s.cluster.nic.max_mtu));
-  bed.module(0).open_mailbox_port(1);
-  bed.module(1).open_mailbox_port(1);
-  PingPongClock clock;
-  clock.reps = s.pingpong_reps;
-  gamma_pp_initiator(bed.sim_of(0), bed.module(0), size, clock);
-  gamma_pp_responder(bed.module(1), size, clock.reps);
-  bed.run();
-  return clock.one_way();
-}
-
-// --- VIA ------------------------------------------------------------------------
-
-namespace {
-sim::Task via_pp_initiator(sim::Simulator& sim, via::Vi& vi,
-                           std::int64_t size, PingPongClock& clock) {
-  for (int i = 0; i < clock.reps + 1; ++i) {
-    vi.post_recv(size + 64);
-    vi.post_send(net::Buffer::zeros(size));
-    // Reap the send completion, then poll for the pong.
-    (void)co_await vi.poll_wait();
-    (void)co_await vi.poll_wait();
-    if (i == 0) clock.t0 = sim.now();
-  }
-  clock.t1 = sim.now();
-}
-
-sim::Task via_pp_responder(via::Vi& vi, std::int64_t size, int reps) {
-  for (int i = 0; i < reps + 1; ++i) {
-    vi.post_recv(size + 64);
-    via::Completion c = co_await vi.poll_wait();
-    while (c.is_send) c = co_await vi.poll_wait();
-    vi.post_send(net::Buffer::zeros(size));
-    (void)co_await vi.poll_wait();  // reap send completion
-  }
-}
-}  // namespace
-
-sim::SimTime via_one_way(const Scenario& s, std::int64_t size) {
-  ViaBed bed(s.cluster, s.via);
-  bed.cluster.set_mtu_all(s.mtu);
-  via::Vi& a = bed.provider(0).create_vi();
-  via::Vi& b = bed.provider(1).create_vi();
-  a.connect(1, b.id());
-  b.connect(0, a.id());
-  PingPongClock clock;
-  clock.reps = s.pingpong_reps;
-  via_pp_initiator(bed.sim_of(0), a, size, clock);
-  via_pp_responder(b, size, clock.reps);
-  bed.run();
-  return clock.one_way();
-}
-
-// --- Streams ---------------------------------------------------------------------
-
-namespace {
-sim::Task clic_stream_tx(clic::Port& port, std::int64_t message,
-                         std::int64_t count) {
+// `count` messages of `size` bytes, back to back, from node 0 to node 1;
+// the receiver's clock at the last one is the elapsed time.
+template <typename End>
+sim::Task stream_tx(End end, std::int64_t size, std::int64_t count) {
+  (void)co_await end.open();
   for (std::int64_t i = 0; i < count; ++i) {
-    (void)co_await port.send(1, 1, net::Buffer::zeros(message));
+    (void)co_await end.send(net::Buffer::zeros(size));
+    (void)co_await end.sent();
   }
+  end.close();
 }
 
-sim::Task clic_stream_rx(sim::Simulator& sim, clic::Port& port,
-                         std::int64_t count, sim::SimTime& t_end) {
+template <typename End>
+sim::Task stream_rx(sim::Simulator& sim, End end, std::int64_t size,
+                    std::int64_t count, sim::SimTime& t_end) {
+  (void)co_await end.open();
   for (std::int64_t i = 0; i < count; ++i) {
-    (void)co_await port.recv();
+    auto m = co_await end.recv(size);
+    (void)co_await end.received(m, size);
   }
   t_end = sim.now();
 }
-}  // namespace
 
-StreamStats clic_stream(const Scenario& s, std::int64_t message_size,
-                        std::int64_t total_bytes) {
-  ClicBed bed(s.cluster, s.clic);
-  bed.cluster.set_mtu_all(s.mtu);
-  clic::Port a(bed.module(0), 1);
-  clic::Port b(bed.module(1), 1);
-  const std::int64_t count =
-      std::max<std::int64_t>(total_bytes / message_size, 1);
+template <typename Tx, typename Rx>
+StreamStats stream(BedCore& bed, Tx tx, Rx rx, std::int64_t size,
+                   std::int64_t count) {
   sim::SimTime t_end = 0;
-  clic_stream_tx(a, message_size, count);
-  clic_stream_rx(bed.sim_of(1), b, count, t_end);
+  stream_tx(std::move(tx), size, count);
+  stream_rx(bed.sim_of(1), std::move(rx), size, count, t_end);
   bed.run();
 
   StreamStats st;
-  st.bytes = message_size * count;
+  st.bytes = size * count;
   st.elapsed = t_end;
   st.mbps = static_cast<double>(st.bytes) * 8e3 /
             static_cast<double>(std::max<sim::SimTime>(t_end, 1));
@@ -338,42 +124,96 @@ StreamStats clic_stream(const Scenario& s, std::int64_t message_size,
   return st;
 }
 
-namespace {
-sim::Task tcp_stream_tx(tcpip::TcpStack& stack, std::int64_t total) {
-  auto& sock = stack.create_socket();
-  (void)co_await sock.connect(1, 5000);
-  (void)co_await sock.send(net::Buffer::zeros(total));
-  sock.close();
+// CLIC port 1 on nodes 0 and 1, each talking to the other.
+ClicEnd clic_port_1(ClicBed& bed, int node) {
+  bed.module(node).bind_port(1);
+  return ClicEnd{{}, &bed.module(node), 1, 1 - node, 1};
 }
 
-sim::Task tcp_stream_rx(sim::Simulator& sim, tcpip::TcpStack& stack,
-                        std::int64_t total, sim::SimTime& t_end) {
-  tcpip::TcpSocket* sock = co_await stack.accept(5000);
-  (void)co_await sock->recv_exact(total);
-  t_end = sim.now();
+// A TCP connection from node 0 to node 1's port 5000.
+std::pair<TcpDial, TcpAccept> tcp_pair(TcpBed& bed) {
+  bed.tcp[1]->listen(5000);
+  return {TcpDial{{{}, &bed.tcp[0]->create_socket()}, 1, 5000},
+          TcpAccept{{}, bed.tcp[1].get(), 5000}};
 }
+
 }  // namespace
+
+sim::SimTime clic_one_way(const Scenario& s, std::int64_t size) {
+  ClicBed bed(s.cluster, s.clic);
+  bed.cluster.set_mtu_all(s.mtu);
+  ClicEnd a = clic_port_1(bed, 0);
+  return ping_pong(bed, s.pingpong_reps, size, a, clic_port_1(bed, 1));
+}
+
+sim::SimTime tcp_one_way(const Scenario& s, std::int64_t size) {
+  TcpBed bed(s.cluster, s.tcp);
+  bed.cluster.set_mtu_all(s.mtu);
+  auto [a, b] = tcp_pair(bed);
+  return ping_pong(bed, s.pingpong_reps, std::max<std::int64_t>(size, 1), a,
+                   b);
+}
+
+sim::SimTime mpi_clic_one_way(const Scenario& s, std::int64_t size) {
+  MpiClicBed bed(s.cluster, s.clic, s.mpi);
+  bed.bed.cluster.set_mtu_all(s.mtu);
+  return ping_pong(bed.bed, s.pingpong_reps, size, MpiEnd{{}, &bed.comm(0), 1},
+                   MpiEnd{{}, &bed.comm(1), 0});
+}
+
+sim::SimTime mpi_tcp_one_way(const Scenario& s, std::int64_t size) {
+  MpiTcpBed bed(s.cluster, s.tcp, s.mpi);
+  bed.bed.cluster.set_mtu_all(s.mtu);
+  return ping_pong(bed.bed, s.pingpong_reps, size, MpiEnd{{}, &bed.comm(0), 1},
+                   MpiEnd{{}, &bed.comm(1), 0}, bed.connect());
+}
+
+sim::SimTime pvm_one_way(const Scenario& s, std::int64_t size) {
+  PvmBed bed(s.cluster, s.tcp, s.pvm);
+  bed.bed.cluster.set_mtu_all(s.mtu);
+  return ping_pong(bed.bed, s.pingpong_reps, size, PvmEnd{{}, &bed.task(0), 1},
+                   PvmEnd{{}, &bed.task(1), 0}, bed.connect());
+}
+
+sim::SimTime gamma_one_way(const Scenario& s, std::int64_t size) {
+  GammaBed bed(s.cluster, s.gamma);
+  bed.cluster.set_mtu_all(std::min(s.mtu, s.cluster.nic.max_mtu));
+  bed.module(0).open_mailbox_port(1);
+  bed.module(1).open_mailbox_port(1);
+  return ping_pong(bed, s.pingpong_reps, size, GammaEnd{{}, &bed.module(0), 1},
+                   GammaEnd{{}, &bed.module(1), 0});
+}
+
+sim::SimTime via_one_way(const Scenario& s, std::int64_t size) {
+  ViaBed bed(s.cluster, s.via);
+  bed.cluster.set_mtu_all(s.mtu);
+  via::Vi& a = bed.provider(0).create_vi();
+  via::Vi& b = bed.provider(1).create_vi();
+  a.connect(1, b.id());
+  b.connect(0, a.id());
+  return ping_pong(bed, s.pingpong_reps, size, ViaEnd{{}, &a},
+                   ViaEnd{{}, &b});
+}
+
+StreamStats clic_stream(const Scenario& s, std::int64_t message_size,
+                        std::int64_t total_bytes) {
+  ClicBed bed(s.cluster, s.clic);
+  bed.cluster.set_mtu_all(s.mtu);
+  return clic_stream(bed, message_size, total_bytes);
+}
+
+StreamStats clic_stream(ClicBed& bed, std::int64_t message_size,
+                        std::int64_t total_bytes) {
+  ClicEnd tx = clic_port_1(bed, 0);
+  return stream(bed, tx, clic_port_1(bed, 1), message_size,
+                std::max<std::int64_t>(total_bytes / message_size, 1));
+}
 
 StreamStats tcp_stream(const Scenario& s, std::int64_t total_bytes) {
   TcpBed bed(s.cluster, s.tcp);
   bed.cluster.set_mtu_all(s.mtu);
-  bed.tcp[1]->listen(5000);
-  sim::SimTime t_end = 0;
-  tcp_stream_tx(*bed.tcp[0], total_bytes);
-  tcp_stream_rx(bed.sim_of(1), *bed.tcp[1], total_bytes, t_end);
-  bed.run();
-
-  StreamStats st;
-  st.bytes = total_bytes;
-  st.elapsed = t_end;
-  st.mbps = static_cast<double>(total_bytes) * 8e3 /
-            static_cast<double>(std::max<sim::SimTime>(t_end, 1));
-  st.tx_cpu = bed.cluster.node(0).cpu().utilization();
-  st.rx_cpu = bed.cluster.node(1).cpu().utilization();
-  st.rx_interrupts = bed.cluster.node(1).nic(0).interrupts_fired();
-  st.rx_frames = bed.cluster.node(1).nic(0).rx_frames();
-  st.rx_ring_drops = bed.cluster.node(1).nic(0).rx_ring_drops();
-  return st;
+  auto [tx, rx] = tcp_pair(bed);
+  return stream(bed, tx, rx, total_bytes, 1);
 }
 
 // --- Open-loop traffic (DESIGN.md §4j) --------------------------------------------
@@ -393,50 +233,94 @@ constexpr int kStreamTcpPort = 7001;
 
 using sim::fnv1a_fold;
 
-void put_u32(std::vector<std::byte>& v, std::size_t off, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) {
-    v[off + static_cast<std::size_t>(i)] =
-        static_cast<std::byte>((x >> (8 * i)) & 0xff);
-  }
-}
+// The four header fields.
+using Header = std::array<std::uint32_t, 4>;
 
-std::uint32_t get_u32(std::span<const std::byte> d, std::size_t off) {
-  std::uint32_t x = 0;
-  for (int i = 0; i < 4; ++i) {
-    x |= static_cast<std::uint32_t>(
-             std::to_integer<unsigned>(d[off + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return x;
-}
-
-net::Buffer wire_message(std::int64_t size, std::uint32_t f0, std::uint32_t f1,
-                         std::uint32_t f2, std::uint32_t f3) {
+net::Buffer wire_message(std::int64_t size, const Header& h) {
   std::vector<std::byte> bytes(
       static_cast<std::size_t>(std::max(size, kWireHeaderBytes)));
-  put_u32(bytes, 0, f0);
-  put_u32(bytes, 4, f1);
-  put_u32(bytes, 8, f2);
-  put_u32(bytes, 12, f3);
+  for (std::size_t i = 0; i < 16; ++i) {
+    bytes[i] = static_cast<std::byte>(h[i / 4] >> (8 * (i % 4)));
+  }
   return net::Buffer::bytes(std::move(bytes));
 }
 
-// Seeded burst-loss campaign under a workload: random carrier / switch-port /
-// DMA outages against every flappable element, all healed by `end` so the
-// open-loop run always drains (paper CLIC retries forever; TCP retransmits).
-void arm_fault_campaign(sim::FaultPlan& plan, os::Cluster& cluster,
-                        sim::SimTime end) {
-  register_cluster_targets(plan, cluster);
+Header header_of(const net::Buffer& message) {
+  const auto d = message.data();
+  Header h{};
+  for (std::size_t i = 0; i < 16; ++i) {
+    h[i / 4] |= std::to_integer<std::uint32_t>(d[i]) << (8 * (i % 4));
+  }
+  return h;
+}
+
+// Seeded burst-loss campaign under a workload, for a nonzero `seed`:
+// random carrier / switch-port / DMA outages against every flappable
+// element, all healed by 10 ms so the open-loop run always drains (paper
+// CLIC retries forever; TCP retransmits).
+void arm_fault_campaign(std::optional<sim::FaultPlan>& plan, BedCore& bed,
+                        std::uint64_t seed) {
+  if (seed == 0) return;
+  plan.emplace(bed.sim, seed);
+  register_cluster_targets(*plan, bed.cluster);
   sim::FaultPlan::Campaign campaign;
   campaign.start = sim::microseconds(200.0);
-  campaign.end = end;
+  campaign.end = sim::milliseconds(10.0);
   campaign.outages = 6;
   campaign.min_down = sim::microseconds(100.0);
   campaign.max_down = sim::milliseconds(2.0);
-  plan.randomize(campaign);
+  plan->randomize(campaign);
 }
 
-constexpr sim::SimTime kFaultWindow = sim::SimTime{10'000'000};  // 10 ms
+os::ClusterConfig with_nodes(os::ClusterConfig c, int nodes) {
+  c.nodes = nodes;
+  return c;
+}
+
+// Where an open-loop workload's server and clients sit on a stack. CLIC
+// binds one port per side, and one server on node 0 answers every client
+// node. TCP gives each client node a connection of its own, with a server
+// per connection; a client dials from its node's clock at time 0, since
+// connect() drives the SYN path on the node's shard.
+struct ClicService {
+  ClicBed* bed;
+  int server_port;
+  int client_port;
+
+  // serve(end, nodes): a server End answering `nodes` client nodes.
+  template <typename Serve>
+  void serve(int client_nodes, Serve serve) const {
+    bed->module(0).bind_port(server_port);
+    serve(ClicEnd{{}, &bed->module(0), server_port, 0, 0,
+                  clic::SendMode::kAsync},
+          client_nodes);
+  }
+  template <typename Client>
+  void client(int node, Client client) const {
+    bed->module(node).bind_port(client_port);
+    client(ClicEnd{{}, &bed->module(node), client_port, 0, server_port});
+  }
+};
+
+struct TcpService {
+  TcpBed* bed;
+  int port;
+
+  template <typename Serve>
+  void serve(int client_nodes, Serve serve) const {
+    bed->tcp[0]->listen(port);
+    for (int n = 0; n < client_nodes; ++n) {
+      serve(TcpAccept{{}, bed->tcp[0].get(), port}, 1);
+    }
+  }
+  template <typename Client>
+  void client(int node, Client client) const {
+    bed->sim_of(node).at(0, [stack = bed->tcp[node].get(), port = port,
+                             client] {
+      client(TcpDial{{{}, &stack->create_socket()}, 0, port});
+    });
+  }
+};
 
 }  // namespace
 
@@ -546,10 +430,9 @@ RpcState make_rpc_state(const RpcConfig& cfg) {
   return st;
 }
 
-RpcResult fold_rpc(const RpcConfig& cfg, const RpcState& st,
+RpcResult fold_rpc(const RpcState& st,
                    std::uint64_t events, sim::SimTime finished) {
   RpcResult r;
-  r.latency = sim::HdrHistogram(cfg.sig_digits);
   std::uint64_t h = sim::kFnvShortOffset;
   for (std::size_t c = 0; c < st.latency.size(); ++c) {
     for (std::size_t k = 0; k < st.latency[c].size(); ++k) {
@@ -579,7 +462,7 @@ RpcResult fold_rpc(const RpcConfig& cfg, const RpcState& st,
 
 // Opens the feeder coroutines: one per logical client, waking at each
 // precomputed arrival and queueing the request on its node's mailbox. The
-// per-node writer drains the mailbox through the node's single stack
+// per-node client drains the mailbox through the node's single stack
 // endpoint — head-of-line blocking across the node's clients is part of
 // the modeled workload (one kernel socket queue), and the queueing it
 // causes is visible in the tail because latency runs from the *scheduled*
@@ -594,183 +477,103 @@ sim::Task rpc_feeder(sim::Simulator& sim,
   }
 }
 
-struct RpcClicRun {
-  static sim::Task server(clic::ClicModule& mod, std::uint64_t total) {
-    for (std::uint64_t i = 0; i < total; ++i) {
-      clic::Message m = co_await mod.recv(kRpcServerPort);
-      const auto d = m.data.data();
-      const std::uint32_t client = get_u32(d, 0);
-      const std::uint32_t seq = get_u32(d, 4);
-      const std::uint32_t resp = get_u32(d, 8);
-      (void)co_await mod.send(kRpcServerPort, m.src_node, m.src_port,
-                              wire_message(resp, client, seq, resp, 0),
-                              clic::SendMode::kAsync);
-    }
+// Answers `count` requests, echoing each header's (client, seq) in a
+// response of the size the header asks for.
+template <typename End>
+sim::Task rpc_server(End end, std::uint64_t count) {
+  (void)co_await end.open();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto m = co_await end.recv(kWireHeaderBytes);
+    const net::Buffer& hdr = payload(m);
+    if (hdr.size() < kWireHeaderBytes) co_return;  // EOF
+    const auto [client, seq, resp, req] = header_of(hdr);
+    if (req > kWireHeaderBytes) (void)co_await end.rest(req - kWireHeaderBytes);
+    (void)co_await end.reply(m, wire_message(resp, {client, seq, resp, 0}));
   }
-
-  static sim::Task writer(clic::ClicModule& mod, const RpcConfig& cfg,
-                          sim::Mailbox<PendingReq>& mbox,
-                          std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const PendingReq rq = co_await mbox.pop();
-      (void)co_await mod.send(
-          kRpcClientPort, 0, kRpcServerPort,
-          wire_message(cfg.request_bytes, rq.client, rq.seq,
-                       static_cast<std::uint32_t>(cfg.response_bytes),
-                       static_cast<std::uint32_t>(cfg.request_bytes)),
-          clic::SendMode::kSync);
-    }
-  }
-
-  static sim::Task reader(sim::Simulator& sim, clic::ClicModule& mod,
-                          RpcState& st, std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      clic::Message m = co_await mod.recv(kRpcClientPort);
-      const auto d = m.data.data();
-      const std::uint32_t client = get_u32(d, 0);
-      const std::uint32_t seq = get_u32(d, 4);
-      st.latency.at(client).at(seq) =
-          sim.now() - st.arrivals.at(client).at(seq);
-    }
-  }
-};
-
-}  // namespace
-
-RpcResult rpc_clic(const Scenario& s, const RpcConfig& cfg) {
-  validate_rpc(cfg);
-  os::ClusterConfig cc = s.cluster;
-  cc.nodes = cfg.client_nodes + 1;
-  ClicBed bed(cc, s.clic);
-  bed.cluster.set_mtu_all(s.mtu);
-  RpcState st = make_rpc_state(cfg);
-
-  std::optional<sim::FaultPlan> plan;
-  if (cfg.fault_seed != 0) {
-    plan.emplace(bed.sim, cfg.fault_seed);
-    arm_fault_campaign(*plan, bed.cluster, kFaultWindow);
-  }
-
-  bed.module(0).bind_port(kRpcServerPort);
-  const auto per_node = static_cast<std::uint64_t>(cfg.clients_per_node) *
-                        static_cast<std::uint64_t>(cfg.requests_per_client);
-  RpcClicRun::server(bed.module(0),
-                     per_node * static_cast<std::uint64_t>(cfg.client_nodes));
-
-  std::vector<std::unique_ptr<sim::Mailbox<PendingReq>>> mboxes;
-  for (int n = 1; n <= cfg.client_nodes; ++n) {
-    mboxes.push_back(
-        std::make_unique<sim::Mailbox<PendingReq>>(bed.sim_of(n)));
-    bed.module(n).bind_port(kRpcClientPort);
-    RpcClicRun::writer(bed.module(n), cfg, *mboxes.back(), per_node);
-    RpcClicRun::reader(bed.sim_of(n), bed.module(n), st, per_node);
-  }
-  const int clients = cfg.client_nodes * cfg.clients_per_node;
-  for (int c = 0; c < clients; ++c) {
-    const int n = rpc_node_of(c, cfg);
-    rpc_feeder(bed.sim_of(n), st.arrivals[static_cast<std::size_t>(c)],
-               static_cast<std::uint32_t>(c), *mboxes[static_cast<std::size_t>(n - 1)]);
-  }
-  bed.run();
-  return fold_rpc(cfg, st, bed.events_executed(), bed.now());
 }
 
-namespace {
-
-struct RpcTcpRun {
-  static sim::Task server_conn(tcpip::TcpStack& stack, std::uint64_t count) {
-    tcpip::TcpSocket* sock = co_await stack.accept(kRpcTcpPort);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      net::Buffer hdr = co_await sock->recv_exact(kWireHeaderBytes);
-      if (hdr.size() < kWireHeaderBytes) co_return;  // EOF
-      const auto d = hdr.data();
-      const std::uint32_t client = get_u32(d, 0);
-      const std::uint32_t seq = get_u32(d, 4);
-      const std::uint32_t resp = get_u32(d, 8);
-      const std::uint32_t req = get_u32(d, 12);
-      if (req > kWireHeaderBytes) {
-        (void)co_await sock->recv_exact(req - kWireHeaderBytes);
-      }
-      (void)co_await sock->send(wire_message(resp, client, seq, resp, 0));
+// Records the latency of each of `count` responses.
+template <typename End>
+sim::Task rpc_reader(sim::Simulator& sim, End end, RpcState& st,
+                     std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto m = co_await end.recv(kWireHeaderBytes);
+    const net::Buffer& hdr = payload(m);
+    if (hdr.size() < kWireHeaderBytes) co_return;  // EOF
+    const auto [client, seq, resp, req] = header_of(hdr);
+    if (resp > kWireHeaderBytes) {
+      (void)co_await end.rest(resp - kWireHeaderBytes);
     }
+    st.latency.at(client).at(seq) =
+        sim.now() - st.arrivals.at(client).at(seq);
   }
+}
 
-  static sim::Task reader(sim::Simulator& sim, tcpip::TcpSocket& sock,
-                          RpcState& st, std::uint64_t count) {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      net::Buffer hdr = co_await sock.recv_exact(kWireHeaderBytes);
-      if (hdr.size() < kWireHeaderBytes) co_return;
-      const auto d = hdr.data();
-      const std::uint32_t client = get_u32(d, 0);
-      const std::uint32_t seq = get_u32(d, 4);
-      const std::uint32_t resp = get_u32(d, 8);
-      if (resp > kWireHeaderBytes) {
-        (void)co_await sock.recv_exact(resp - kWireHeaderBytes);
-      }
-      st.latency.at(client).at(seq) =
-          sim.now() - st.arrivals.at(client).at(seq);
-    }
+// One client node: once its End is up, a reader takes the responses while
+// the node sends its clients' `count` requests in mailbox order.
+template <typename End>
+sim::Task rpc_client(sim::Simulator& sim, End end, const RpcConfig& cfg,
+                     RpcState& st, sim::Mailbox<PendingReq>& mbox,
+                     std::uint64_t count) {
+  const bool up = co_await end.open();
+  if (!up) co_return;
+  rpc_reader(sim, end, st, count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const PendingReq rq = co_await mbox.pop();
+    (void)co_await end.send(
+        wire_message(cfg.request_bytes,
+                     {rq.client, rq.seq,
+                      static_cast<std::uint32_t>(cfg.response_bytes),
+                      static_cast<std::uint32_t>(cfg.request_bytes)}));
   }
+}
 
-  static sim::Task client_node(sim::Simulator& sim, tcpip::TcpStack& stack,
-                               const RpcConfig& cfg, RpcState& st,
-                               sim::Mailbox<PendingReq>& mbox,
-                               std::uint64_t count) {
-    auto& sock = stack.create_socket();
-    const bool ok = co_await sock.connect(0, kRpcTcpPort);
-    if (!ok) co_return;
-    reader(sim, sock, st, count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const PendingReq rq = co_await mbox.pop();
-      (void)co_await sock.send(
-          wire_message(cfg.request_bytes, rq.client, rq.seq,
-                       static_cast<std::uint32_t>(cfg.response_bytes),
-                       static_cast<std::uint32_t>(cfg.request_bytes)));
-    }
-  }
-};
-
-}  // namespace
-
-RpcResult rpc_tcp(const Scenario& s, const RpcConfig& cfg) {
-  validate_rpc(cfg);
-  os::ClusterConfig cc = s.cluster;
-  cc.nodes = cfg.client_nodes + 1;
-  TcpBed bed(cc, s.tcp);
+// The open-loop RPC driver: node 0 serves nodes 1..client_nodes.
+template <typename Service>
+RpcResult rpc(const Scenario& s, const RpcConfig& cfg, BedCore& bed,
+              Service service) {
   bed.cluster.set_mtu_all(s.mtu);
   RpcState st = make_rpc_state(cfg);
-
   std::optional<sim::FaultPlan> plan;
-  if (cfg.fault_seed != 0) {
-    plan.emplace(bed.sim, cfg.fault_seed);
-    arm_fault_campaign(*plan, bed.cluster, kFaultWindow);
-  }
+  arm_fault_campaign(plan, bed, cfg.fault_seed);
 
-  bed.tcp[0]->listen(kRpcTcpPort);
   const auto per_node = static_cast<std::uint64_t>(cfg.clients_per_node) *
                         static_cast<std::uint64_t>(cfg.requests_per_client);
+  service.serve(cfg.client_nodes, [per_node](auto end, int nodes) {
+    rpc_server(end, per_node * static_cast<std::uint64_t>(nodes));
+  });
   std::vector<std::unique_ptr<sim::Mailbox<PendingReq>>> mboxes;
   for (int n = 1; n <= cfg.client_nodes; ++n) {
-    RpcTcpRun::server_conn(*bed.tcp[0], per_node);
     mboxes.push_back(
         std::make_unique<sim::Mailbox<PendingReq>>(bed.sim_of(n)));
-    // connect() drives the SYN path, so the client coroutine starts on its
-    // owning shard's clock rather than eagerly at setup (chaos.cpp idiom).
-    sim::Mailbox<PendingReq>* mb = mboxes.back().get();
-    bed.sim_of(n).at(0, [&bed, &cfg, &st, mb, n, per_node] {
-      RpcTcpRun::client_node(bed.sim_of(n),
-                             *bed.tcp[static_cast<std::size_t>(n)], cfg, st,
-                             *mb, per_node);
+    service.client(n, [&bed, &cfg, &st, mb = mboxes.back().get(), n,
+                       per_node](auto end) {
+      rpc_client(bed.sim_of(n), end, cfg, st, *mb, per_node);
     });
   }
   const int clients = cfg.client_nodes * cfg.clients_per_node;
   for (int c = 0; c < clients; ++c) {
     const int n = rpc_node_of(c, cfg);
     rpc_feeder(bed.sim_of(n), st.arrivals[static_cast<std::size_t>(c)],
-               static_cast<std::uint32_t>(c), *mboxes[static_cast<std::size_t>(n - 1)]);
+               static_cast<std::uint32_t>(c),
+               *mboxes[static_cast<std::size_t>(n - 1)]);
   }
   bed.run();
-  return fold_rpc(cfg, st, bed.events_executed(), bed.now());
+  return fold_rpc(st, bed.events_executed(), bed.now());
+}
+
+}  // namespace
+
+RpcResult rpc_clic(const Scenario& s, const RpcConfig& cfg) {
+  validate_rpc(cfg);
+  ClicBed bed(with_nodes(s.cluster, cfg.client_nodes + 1), s.clic);
+  return rpc(s, cfg, bed, ClicService{&bed, kRpcServerPort, kRpcClientPort});
+}
+
+RpcResult rpc_tcp(const Scenario& s, const RpcConfig& cfg) {
+  validate_rpc(cfg);
+  TcpBed bed(with_nodes(s.cluster, cfg.client_nodes + 1), s.tcp);
+  return rpc(s, cfg, bed, TcpService{&bed, kRpcTcpPort});
 }
 
 namespace {
@@ -804,93 +607,54 @@ sim::SimTime stream_phase(const StreamingConfig& cfg, int stream) {
   return cfg.start + rng.uniform_int(0, cfg.cadence - 1);
 }
 
-struct StreamClicRun {
-  static sim::Task sender(sim::Simulator& sim, clic::ClicModule& mod,
-                          const StreamingConfig& cfg, int stream,
-                          const std::vector<net::Fragment>& frags) {
-    const sim::SimTime t0 = stream_phase(cfg, stream);
-    for (int k = 0; k < cfg.frames_per_stream; ++k) {
-      const sim::SimTime gen = t0 + static_cast<sim::SimTime>(k) * cfg.cadence;
-      if (gen > sim.now()) co_await sim::Delay{sim, gen - sim.now()};
-      for (std::size_t f = 0; f < frags.size(); ++f) {
-        (void)co_await mod.send(
-            kStreamPort, 0, kStreamPort,
-            wire_message(kWireHeaderBytes + frags[f].length,
-                         static_cast<std::uint32_t>(stream),
-                         static_cast<std::uint32_t>(k),
-                         static_cast<std::uint32_t>(f),
-                         static_cast<std::uint32_t>(frags.size())),
-            clic::SendMode::kSync);
-      }
-    }
-  }
+using JitterBuffers = std::vector<std::unique_ptr<JitterBuffer>>;
 
-  static sim::Task receiver(clic::ClicModule& mod,
-                            std::vector<std::unique_ptr<JitterBuffer>>& jbs,
-                            std::uint64_t total_fragments) {
-    for (std::uint64_t i = 0; i < total_fragments; ++i) {
-      clic::Message m = co_await mod.recv(kStreamPort);
-      const auto d = m.data.data();
-      const std::uint32_t stream = get_u32(d, 0);
-      const std::uint32_t frame = get_u32(d, 4);
-      const std::uint32_t frag = get_u32(d, 8);
-      (void)jbs.at(stream)->on_fragment(frame, frag);
+// Sends `stream`'s frames at their cadence, once its End is up, one wire
+// message per fragment.
+template <typename End>
+sim::Task frame_sender(sim::Simulator& sim, End end, const StreamingConfig& cfg,
+                       int stream, const std::vector<net::Fragment>& frags) {
+  const bool up = co_await end.open();
+  if (!up) co_return;
+  const sim::SimTime t0 = stream_phase(cfg, stream);
+  for (int k = 0; k < cfg.frames_per_stream; ++k) {
+    const sim::SimTime gen = t0 + static_cast<sim::SimTime>(k) * cfg.cadence;
+    if (gen > sim.now()) co_await sim::Delay{sim, gen - sim.now()};
+    for (std::size_t f = 0; f < frags.size(); ++f) {
+      (void)co_await end.send(
+          wire_message(kWireHeaderBytes + frags[f].length,
+                       {static_cast<std::uint32_t>(stream),
+                        static_cast<std::uint32_t>(k),
+                        static_cast<std::uint32_t>(f),
+                        static_cast<std::uint32_t>(frags.size())}));
     }
   }
-};
+}
 
-struct StreamTcpRun {
-  static sim::Task server_conn(tcpip::TcpStack& stack,
-                               std::vector<std::unique_ptr<JitterBuffer>>& jbs,
-                               const StreamingConfig& cfg,
-                               const std::vector<net::Fragment>& frags) {
-    tcpip::TcpSocket* sock = co_await stack.accept(kStreamTcpPort);
-    const auto count = static_cast<std::uint64_t>(cfg.frames_per_stream) *
-                       frags.size();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      net::Buffer hdr = co_await sock->recv_exact(kWireHeaderBytes);
-      if (hdr.size() < kWireHeaderBytes) co_return;
-      const auto d = hdr.data();
-      const std::uint32_t stream = get_u32(d, 0);
-      const std::uint32_t frame = get_u32(d, 4);
-      const std::uint32_t frag = get_u32(d, 8);
-      const std::int64_t size = kWireHeaderBytes + frags.at(frag).length;
-      if (size > kWireHeaderBytes) {
-        (void)co_await sock->recv_exact(size - kWireHeaderBytes);
-      }
-      (void)jbs.at(stream)->on_fragment(frame, frag);
-    }
+// Hands `count` fragments to their streams' jitter buffers.
+template <typename End>
+sim::Task frame_receiver(End end, JitterBuffers& jbs,
+                         const std::vector<net::Fragment>& frags,
+                         std::uint64_t count) {
+  (void)co_await end.open();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto m = co_await end.recv(kWireHeaderBytes);
+    const net::Buffer& hdr = payload(m);
+    if (hdr.size() < kWireHeaderBytes) co_return;  // EOF
+    const auto [stream, frame, frag, frags_in_frame] = header_of(hdr);
+    const std::int64_t body = frags.at(frag).length;
+    if (body > 0) (void)co_await end.rest(body);
+    (void)jbs.at(stream)->on_fragment(frame, frag);
   }
-
-  static sim::Task sender(sim::Simulator& sim, tcpip::TcpStack& stack,
-                          const StreamingConfig& cfg, int stream,
-                          const std::vector<net::Fragment>& frags) {
-    auto& sock = stack.create_socket();
-    const bool ok = co_await sock.connect(0, kStreamTcpPort);
-    if (!ok) co_return;
-    const sim::SimTime t0 = stream_phase(cfg, stream);
-    for (int k = 0; k < cfg.frames_per_stream; ++k) {
-      const sim::SimTime gen = t0 + static_cast<sim::SimTime>(k) * cfg.cadence;
-      if (gen > sim.now()) co_await sim::Delay{sim, gen - sim.now()};
-      for (std::size_t f = 0; f < frags.size(); ++f) {
-        (void)co_await sock.send(
-            wire_message(kWireHeaderBytes + frags[f].length,
-                         static_cast<std::uint32_t>(stream),
-                         static_cast<std::uint32_t>(k),
-                         static_cast<std::uint32_t>(f),
-                         static_cast<std::uint32_t>(frags.size())));
-      }
-    }
-  }
-};
+}
 
 // Builds node 0's jitter buffers with every frame's deadline pre-scheduled.
-std::vector<std::unique_ptr<JitterBuffer>> make_jitter_buffers(
-    sim::Simulator& rx_sim, const StreamingConfig& cfg,
-    const std::vector<net::Fragment>& frags) {
-  std::vector<std::unique_ptr<JitterBuffer>> jbs;
+JitterBuffers make_jitter_buffers(sim::Simulator& rx_sim,
+                                  const StreamingConfig& cfg,
+                                  const std::vector<net::Fragment>& frags) {
+  JitterBuffers jbs;
   for (int s = 0; s < cfg.streams; ++s) {
-    auto jb = std::make_unique<JitterBuffer>(rx_sim, cfg.sig_digits);
+    auto jb = std::make_unique<JitterBuffer>(rx_sim);
     const sim::SimTime t0 = stream_phase(cfg, s);
     for (int k = 0; k < cfg.frames_per_stream; ++k) {
       const sim::SimTime gen = t0 + static_cast<sim::SimTime>(k) * cfg.cadence;
@@ -902,12 +666,9 @@ std::vector<std::unique_ptr<JitterBuffer>> make_jitter_buffers(
   return jbs;
 }
 
-StreamingResult fold_streaming(
-    const StreamingConfig& cfg,
-    const std::vector<std::unique_ptr<JitterBuffer>>& jbs,
-    std::uint64_t events, sim::SimTime finished) {
+StreamingResult fold_streaming(const JitterBuffers& jbs, std::uint64_t events,
+                               sim::SimTime finished) {
   StreamingResult r;
-  r.latency = sim::HdrHistogram(cfg.sig_digits);
   std::uint64_t h = sim::kFnvShortOffset;
   for (const auto& jb : jbs) {  // stream index order
     r.frames += jb->frames_expected();
@@ -938,63 +699,43 @@ StreamingResult fold_streaming(
   return r;
 }
 
+// The open-loop streaming driver: nodes 1..streams each send one stream
+// to node 0.
+template <typename Service>
+StreamingResult streaming(const Scenario& s, const StreamingConfig& cfg,
+                          BedCore& bed, Service service) {
+  bed.cluster.set_mtu_all(s.mtu);
+  const std::vector<net::Fragment> frags = frame_fragments(cfg);
+  std::optional<sim::FaultPlan> plan;
+  arm_fault_campaign(plan, bed, cfg.fault_seed);
+
+  JitterBuffers jbs = make_jitter_buffers(bed.sim_of(0), cfg, frags);
+  const auto per_stream =
+      static_cast<std::uint64_t>(cfg.frames_per_stream) * frags.size();
+  service.serve(cfg.streams, [&jbs, &frags, per_stream](auto end, int n) {
+    frame_receiver(end, jbs, frags, per_stream * static_cast<std::uint64_t>(n));
+  });
+  for (int st = 0; st < cfg.streams; ++st) {
+    service.client(st + 1, [&bed, &cfg, &frags, st](auto end) {
+      frame_sender(bed.sim_of(st + 1), end, cfg, st, frags);
+    });
+  }
+  bed.run();
+  return fold_streaming(jbs, bed.events_executed(), bed.now());
+}
+
 }  // namespace
 
 StreamingResult streaming_clic(const Scenario& s, const StreamingConfig& cfg) {
   validate_streaming(cfg);
-  os::ClusterConfig cc = s.cluster;
-  cc.nodes = cfg.streams + 1;
-  ClicBed bed(cc, s.clic);
-  bed.cluster.set_mtu_all(s.mtu);
-  const std::vector<net::Fragment> frags = frame_fragments(cfg);
-
-  std::optional<sim::FaultPlan> plan;
-  if (cfg.fault_seed != 0) {
-    plan.emplace(bed.sim, cfg.fault_seed);
-    arm_fault_campaign(*plan, bed.cluster, kFaultWindow);
-  }
-
-  auto jbs = make_jitter_buffers(bed.sim_of(0), cfg, frags);
-  bed.module(0).bind_port(kStreamPort);
-  const auto total = static_cast<std::uint64_t>(cfg.streams) *
-                     static_cast<std::uint64_t>(cfg.frames_per_stream) *
-                     frags.size();
-  StreamClicRun::receiver(bed.module(0), jbs, total);
-  for (int st = 0; st < cfg.streams; ++st) {
-    bed.module(st + 1).bind_port(kStreamPort);
-    StreamClicRun::sender(bed.sim_of(st + 1), bed.module(st + 1), cfg, st,
-                          frags);
-  }
-  bed.run();
-  return fold_streaming(cfg, jbs, bed.events_executed(), bed.now());
+  ClicBed bed(with_nodes(s.cluster, cfg.streams + 1), s.clic);
+  return streaming(s, cfg, bed, ClicService{&bed, kStreamPort, kStreamPort});
 }
 
 StreamingResult streaming_tcp(const Scenario& s, const StreamingConfig& cfg) {
   validate_streaming(cfg);
-  os::ClusterConfig cc = s.cluster;
-  cc.nodes = cfg.streams + 1;
-  TcpBed bed(cc, s.tcp);
-  bed.cluster.set_mtu_all(s.mtu);
-  const std::vector<net::Fragment> frags = frame_fragments(cfg);
-
-  std::optional<sim::FaultPlan> plan;
-  if (cfg.fault_seed != 0) {
-    plan.emplace(bed.sim, cfg.fault_seed);
-    arm_fault_campaign(*plan, bed.cluster, kFaultWindow);
-  }
-
-  auto jbs = make_jitter_buffers(bed.sim_of(0), cfg, frags);
-  bed.tcp[0]->listen(kStreamTcpPort);
-  for (int st = 0; st < cfg.streams; ++st) {
-    StreamTcpRun::server_conn(*bed.tcp[0], jbs, cfg, frags);
-    bed.sim_of(st + 1).at(0, [&bed, &cfg, &frags, st] {
-      StreamTcpRun::sender(bed.sim_of(st + 1),
-                           *bed.tcp[static_cast<std::size_t>(st + 1)], cfg, st,
-                           frags);
-    });
-  }
-  bed.run();
-  return fold_streaming(cfg, jbs, bed.events_executed(), bed.now());
+  TcpBed bed(with_nodes(s.cluster, cfg.streams + 1), s.tcp);
+  return streaming(s, cfg, bed, TcpService{&bed, kStreamTcpPort});
 }
 
 // --- Sweep helpers ---------------------------------------------------------------

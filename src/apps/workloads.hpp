@@ -82,6 +82,9 @@ struct StreamStats {
 [[nodiscard]] StreamStats clic_stream(const Scenario& s,
                                       std::int64_t message_size,
                                       std::int64_t total_bytes);
+// The same stream on a bed the caller built (and may read afterwards).
+[[nodiscard]] StreamStats clic_stream(ClicBed& bed, std::int64_t message_size,
+                                      std::int64_t total_bytes);
 [[nodiscard]] StreamStats tcp_stream(const Scenario& s,
                                      std::int64_t total_bytes);
 
@@ -127,14 +130,13 @@ struct RpcConfig {
   std::int64_t response_bytes = 1024;  // >= 16 (wire header)
   ArrivalSpec arrivals;
   std::uint64_t seed = 1;
-  int sig_digits = 3;  // latency histogram precision
   // Nonzero: a seeded FaultPlan burst-loss campaign (random carrier/port/
   // DMA outages, all healed by 10 ms) runs under the workload.
   std::uint64_t fault_seed = 0;
 };
 
 struct RpcResult {
-  sim::HdrHistogram latency{3};  // ns, scheduled arrival -> response
+  sim::HdrHistogram latency;     // ns, scheduled arrival -> response
   std::uint64_t requests = 0;    // scheduled (open-loop offered load)
   std::uint64_t responses = 0;   // completed request/response pairs
   std::uint64_t in_flight = 0;   // never answered by quiesce (== requests
@@ -156,12 +158,11 @@ struct StreamingConfig {
   sim::SimTime deadline = sim::milliseconds(4.0);  // playout budget per frame
   sim::SimTime start = sim::microseconds(100.0);
   std::uint64_t seed = 1;  // per-stream phase jitter
-  int sig_digits = 3;
   std::uint64_t fault_seed = 0;  // as RpcConfig::fault_seed
 };
 
 struct StreamingResult {
-  sim::HdrHistogram latency{3};  // ns, frame generated -> reassembled
+  sim::HdrHistogram latency;     // ns, frame generated -> reassembled
   std::uint64_t frames = 0;      // expected across all streams
   std::uint64_t on_time = 0;
   std::uint64_t deadline_misses = 0;

@@ -33,13 +33,6 @@ class Port {
                          SendMode::kConfirmed);
   }
 
-  // Asynchronous send (returns as soon as the kernel accepted the message).
-  [[nodiscard]] sim::Future<SendStatus> send_async(int dst_node, int dst_port,
-                                                   net::Buffer data) {
-    return module_->send(port_, dst_node, dst_port, std::move(data),
-                         SendMode::kAsync);
-  }
-
   [[nodiscard]] sim::Future<Message> recv() { return module_->recv(port_); }
 
   // Non-blocking probe ("if the message has not arrived, _MODULE does

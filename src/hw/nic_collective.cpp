@@ -6,19 +6,27 @@
 
 namespace clicsim::hw {
 
-namespace {
-
-// Lowest set bit of the relative rank; for the root (relative 0) the
-// smallest power of two covering the whole job, so children_of yields every
-// power-of-two offset below n — the host binomial tree's shape exactly.
-int low_bit_span(int relative, int n) {
-  if (relative != 0) return relative & -relative;
-  int span = 1;
-  while (span < n) span <<= 1;
-  return span;
+int binomial_parent(int rank, int root, int n) {
+  const int rel = (rank - root + n) % n;
+  if (rel == 0) return -1;
+  return ((rel & (rel - 1)) + root) % n;  // clear the lowest set bit
 }
 
-}  // namespace
+std::vector<int> binomial_children(int rank, int root, int n) {
+  const int rel = (rank - root + n) % n;
+  // A child's offset is a power of two below rel's lowest set bit; the
+  // root's span covers the whole job.
+  int span = rel & -rel;
+  if (rel == 0) {
+    span = 1;
+    while (span < n) span <<= 1;
+  }
+  std::vector<int> out;
+  for (int m = span >> 1; m > 0; m >>= 1) {
+    if (rel + m < n) out.push_back((rel + m + root) % n);
+  }
+  return out;
+}
 
 NicCollectiveEngine::NicCollectiveEngine(Nic& nic, int rank,
                                          std::vector<net::MacAddr> rank_macs,
@@ -33,24 +41,6 @@ NicCollectiveEngine::NicCollectiveEngine(Nic& nic, int rank,
   }
   nic_->set_fw_sink(net::kEtherTypeCollective,
                     [this](net::Frame f) { on_frame(std::move(f)); });
-}
-
-int NicCollectiveEngine::parent_of(int root) const {
-  const int rel = relative(root);
-  if (rel == 0) return -1;
-  const int parent_rel = rel & (rel - 1);  // clear the lowest set bit
-  return (parent_rel + root) % size();
-}
-
-std::vector<int> NicCollectiveEngine::children_of(int root) const {
-  const int rel = relative(root);
-  const int n = size();
-  std::vector<int> out;
-  // Largest subtree first, matching the host tree's send order.
-  for (int m = low_bit_span(rel, n) >> 1; m > 0; m >>= 1) {
-    if (rel + m < n) out.push_back((rel + m + root) % n);
-  }
-  return out;
 }
 
 void NicCollectiveEngine::barrier(std::uint32_t seq,
@@ -104,13 +94,13 @@ void NicCollectiveEngine::advance_up(CollOp op, int root, std::uint32_t seq,
                                      Op& op_state) {
   if (!op_state.host_posted) return;
   if (op_state.up_seen <
-      static_cast<int>(children_of(root).size())) {
+      static_cast<int>(binomial_children(rank_, root, size()).size())) {
     return;
   }
   if (rank_ != root) {
     // Subtree complete: one combined contribution continues toward the
     // root; this rank now waits for the down wave.
-    send_frame(parent_of(root), op, 0, root, seq,
+    send_frame(binomial_parent(rank_, root, size()), op, 0, root, seq,
                op == CollOp::kAllreduce
                    ? net::Buffer::zeros(op_state.acc_bytes)
                    : net::Buffer::zeros(0));
@@ -125,7 +115,7 @@ void NicCollectiveEngine::advance_up(CollOp op, int root, std::uint32_t seq,
 void NicCollectiveEngine::release(CollOp op, int root, std::uint32_t seq,
                                   Op& op_state) {
   op_state.released = true;
-  for (int child : children_of(root)) {
+  for (int child : binomial_children(rank_, root, size())) {
     send_frame(child, op, 1, root, seq, op_state.payload);
   }
   if (op_state.host_posted) finish(op, root, seq, op_state);

@@ -49,6 +49,13 @@ struct CollHeader {
 };
 inline constexpr std::int64_t kCollHeaderBytes = 8;
 
+// The binomial tree over ranks 0..n-1 rooted at `root`, shared by the host
+// MPI collectives and the NIC engines: `rank`'s parent (-1 at the root)
+// and its children, largest subtree first. A bcast sends to the children
+// in that order; a reduce receives from them in reverse.
+[[nodiscard]] int binomial_parent(int rank, int root, int n);
+[[nodiscard]] std::vector<int> binomial_children(int rank, int root, int n);
+
 // Firmware handling charge per originated frame (tree hop): descriptor
 // decode + header build inside the card.
 struct NicCollectiveParams {
@@ -106,13 +113,6 @@ class NicCollectiveEngine {
             << 32) |
            seq;
   }
-
-  // Binomial-tree shape relative to `root` (matches the host bcast tree).
-  [[nodiscard]] int relative(int root) const {
-    return (rank_ - root + size()) % size();
-  }
-  [[nodiscard]] int parent_of(int root) const;
-  [[nodiscard]] std::vector<int> children_of(int root) const;
 
   void on_frame(net::Frame frame);
   void post_up(CollOp op, int root, std::uint32_t seq, net::Buffer data,

@@ -235,26 +235,14 @@ sim::Task Communicator::bcast_task(int root, net::Buffer data,
     co_return;
   }
 
-  // Binomial tree.
-  const int relative = (rank() - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if (relative & mask) {
-      const int src = (rank() - mask + n) % n;
-      RecvResult r = co_await recv(src, tag);
-      data = std::move(r.data);
-      break;
-    }
-    mask <<= 1;
+  // Binomial tree: take the data from the parent, then pass it down.
+  const int parent = hw::binomial_parent(rank(), root, n);
+  if (parent >= 0) {
+    RecvResult r = co_await recv(parent, tag);
+    data = std::move(r.data);
   }
-  mask >>= 1;
-  while (mask > 0) {
-    if (relative + mask < n) {
-      const int dst = (rank() + mask) % n;
-      (void)co_await send(dst, tag, data);
-    }
-    mask >>= 1;
-  }
+  const std::vector<int> children = hw::binomial_children(rank(), root, n);
+  for (const int child : children) (void)co_await send(child, tag, data);
   done.set(std::move(data));
 }
 
@@ -270,33 +258,24 @@ sim::Task Communicator::reduce_task(int root, net::Buffer data,
   // Binomial-tree reduction toward `root`.
   const int n = size();
   const int tag = kInternalTagBase + 0x300;
-  const int relative = (rank() - root + n) % n;
-
-  int mask = 1;
-  while (mask < n) {
-    if ((relative & mask) == 0) {
-      const int src_rel = relative | mask;
-      if (src_rel < n) {
-        const int src = (src_rel + root) % n;
-        RecvResult r = co_await recv(src, tag);
-        // Combine contributions (element-wise sum): arithmetic cost.
-        const auto combine = static_cast<sim::SimTime>(
-            static_cast<double>(r.data.size()) * config_.reduce_ns_per_byte);
-        sim::Future<bool> charged(transport_->sim());
-        transport_->node().cpu().run(sim::CpuPriority::kUser, combine,
-                                     [charged]() mutable {
-                                       charged.set(true);
-                                     });
-        (void)co_await charged;
-        data = net::Buffer::zeros(std::max(data.size(), r.data.size()));
-      }
-    } else {
-      const int dst = ((relative ^ mask) + root) % n;
-      (void)co_await send(dst, tag, std::move(data));
-      done.set(net::Buffer::zeros(0));
-      co_return;
-    }
-    mask <<= 1;
+  // Smallest subtree first.
+  const std::vector<int> children = hw::binomial_children(rank(), root, n);
+  for (auto child = children.rbegin(); child != children.rend(); ++child) {
+    RecvResult r = co_await recv(*child, tag);
+    // Combine contributions (element-wise sum): arithmetic cost.
+    const auto combine = static_cast<sim::SimTime>(
+        static_cast<double>(r.data.size()) * config_.reduce_ns_per_byte);
+    sim::Future<bool> charged(transport_->sim());
+    transport_->node().cpu().run(sim::CpuPriority::kUser, combine,
+                                 [charged]() mutable { charged.set(true); });
+    (void)co_await charged;
+    data = net::Buffer::zeros(std::max(data.size(), r.data.size()));
+  }
+  const int parent = hw::binomial_parent(rank(), root, n);
+  if (parent >= 0) {
+    (void)co_await send(parent, tag, std::move(data));
+    done.set(net::Buffer::zeros(0));
+    co_return;
   }
   done.set(std::move(data));
 }

@@ -41,7 +41,6 @@ class PvmTask {
   PvmTask(mpi::TcpTransport& transport, Config config = {});
 
   [[nodiscard]] int tid() const { return comm_.rank(); }
-  [[nodiscard]] int ntasks() const { return comm_.size(); }
 
   // pvm_initsend: resets the active send buffer.
   void initsend();

@@ -117,14 +117,6 @@ std::int64_t HdrHistogram::quantile(double q) const {
   return max_;
 }
 
-void HdrHistogram::print(std::ostream& os, const std::string& label) const {
-  os << label << " n=" << total_ << " mean=" << std::fixed
-     << std::setprecision(1) << mean() << " p50=" << quantile(0.50)
-     << " p99=" << quantile(0.99) << " p999=" << quantile(0.999)
-     << " max=" << max() << '\n';
-  os.unsetf(std::ios::fixed);
-}
-
 void HdrHistogram::reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   total_ = 0;

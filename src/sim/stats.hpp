@@ -65,9 +65,6 @@ class HdrHistogram {
   [[nodiscard]] int significant_digits() const { return sig_digits_; }
   [[nodiscard]] std::int64_t max_trackable() const { return max_trackable_; }
 
-  // One-line summary (count, mean, p50/p99/p999, max) for reports.
-  void print(std::ostream& os, const std::string& label) const;
-
   void reset();
 
   // Equal configuration and bucket-for-bucket identical contents.

@@ -24,7 +24,6 @@ constexpr SimTime seconds(double s) { return static_cast<SimTime>(s * 1e9); }
 
 constexpr double to_us(SimTime t) { return static_cast<double>(t) / 1e3; }
 constexpr double to_ms(SimTime t) { return static_cast<double>(t) / 1e6; }
-constexpr double to_s(SimTime t) { return static_cast<double>(t) / 1e9; }
 
 // Time to serialize `bytes` at `bits_per_second` (rounded up to whole ns).
 constexpr SimTime transmission_time(std::int64_t bytes,

@@ -142,7 +142,7 @@ TEST_P(ClicChaosAdaptive, CampaignSatisfiesBoundedFailureLiveness) {
   EXPECT_GT(r.fault_events, 0u) << "campaign seed " << r.seed;
   // The adaptive machinery must actually have engaged under the storm.
   EXPECT_TRUE(r.adaptive) << "campaign seed " << r.seed;
-  EXPECT_GT(r.rtt_samples, 0u) << "campaign seed " << r.seed;
+  EXPECT_GT(r.adaptive_stats.rtt_samples, 0u) << "campaign seed " << r.seed;
   // Sharding the same campaign must not change one observable number.
   apps::ChaosOptions sharded = o;
   sharded.shards = 2;

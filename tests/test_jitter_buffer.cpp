@@ -148,7 +148,7 @@ LinkTrial run_link_trial(bool faults, sim::SimTime deadline) {
   constexpr int kFragments = 5;
   constexpr std::int64_t kFragBytes = 1216;
   constexpr sim::SimTime kCadence = 500'000;  // 0.5 ms
-  JitterBuffer jb(bed.sim_of(0), 3);
+  JitterBuffer jb(bed.sim_of(0));
   for (std::uint32_t k = 0; k < kFrames; ++k) {
     jb.expect_frame(k, kFragments, k * kCadence, k * kCadence + deadline);
   }

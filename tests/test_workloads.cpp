@@ -31,6 +31,23 @@ TEST(Workloads, ToMbpsMath) {
   EXPECT_DOUBLE_EQ(apps::to_mbps(100, 0), 0.0);
 }
 
+// One-way time is the timed span over 2 * reps legs, so a ping-pong needs
+// at least one timed round trip on every stack.
+TEST(Workloads, PingPongRejectsFewerThanOneRep) {
+  using OneWay = sim::SimTime (*)(const apps::Scenario&, std::int64_t);
+  const OneWay stacks[] = {apps::clic_one_way,     apps::tcp_one_way,
+                           apps::mpi_clic_one_way, apps::mpi_tcp_one_way,
+                           apps::pvm_one_way,      apps::gamma_one_way,
+                           apps::via_one_way};
+  for (const int reps : {0, -1}) {
+    apps::Scenario s;
+    s.pingpong_reps = reps;
+    for (const OneWay one_way : stacks) {
+      EXPECT_THROW((void)one_way(s, 64), std::invalid_argument);
+    }
+  }
+}
+
 TEST(Workloads, BandwidthSeriesEvaluatesEachSize) {
   const std::vector<std::int64_t> sizes{100, 1000};
   // Two curves, so the flat job list must be reassembled in spec order.
